@@ -12,9 +12,11 @@ from .redfield import (
     DegenerateSteadyStateError,
     Liouvillian,
     RedfieldTensors,
+    Solution,
     SteadyStateError,
     assemble_liouvillian,
     build_tensors,
+    solve,
     steady_state,
     to_lab_frame,
 )
@@ -28,6 +30,7 @@ __all__ = [
     "Liouvillian",
     "ModelConfig",
     "RedfieldTensors",
+    "Solution",
     "SteadyStateError",
     "SystemParams",
     "angular_ghz",
@@ -35,6 +38,7 @@ __all__ = [
     "build_tensors",
     "ghz_from_mk",
     "mk_from_ghz",
+    "solve",
     "steady_state",
     "to_lab_frame",
     "__version__",

@@ -94,20 +94,13 @@ def _cmd_sweep(args) -> int:
     return 3 if outcome.n_errors else 0
 
 
-def _solve_lab(config):
-    tensors = tuple(redfield.build_tensors(config, lead) for lead in config.leads)
-    liou = redfield.assemble_liouvillian(config, tensors)
-    state, info = redfield.steady_state(liou)
-    return redfield.to_lab_frame(state, tensors[0].displacement), info
+def _csv_line(*cells) -> str:
+    return ",".join(sweep._format_cell(c) for c in cells) + "\n"
 
 
 def _cmd_husimi(args) -> int:
     config, _ = _load(args)
-    try:
-        lab, _ = _solve_lab(config)
-    except redfield.SteadyStateError as exc:
-        print(f"qdmr: {exc}", file=sys.stderr)
-        return 2
+    lab = redfield.solve(config).lab
     rho, _ = phasespace.reduce_resonator(lab)
     center = -config.system.lam * lab.occupation
     if args.extent is not None:
@@ -123,20 +116,15 @@ def _cmd_husimi(args) -> int:
         fh.write("# qdmr husimi grid\n")
         fh.write(f"# center_re = {center!r}\n# extent = {extent!r}\n")
         fh.write("re_alpha,im_alpha,q\n")
-        for i in range(args.points):
-            for j in range(args.points):
-                fh.write(f"{grid_re[i, j]!r},{grid_im[i, j]!r},{q[i, j]!r}\n")
+        for cells in zip(grid_re.ravel(), grid_im.ravel(), q.ravel()):
+            fh.write(_csv_line(*cells))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_torotropy(args) -> int:
     config, _ = _load(args)
-    try:
-        lab, _ = _solve_lab(config)
-    except redfield.SteadyStateError as exc:
-        print(f"qdmr: {exc}", file=sys.stderr)
-        return 2
+    lab = redfield.solve(config).lab
     result = phasespace.torotropy(lab, config.system.lam)
     print(f"torotropy = {result.value!r}")
     print(f"anchor = {result.anchor.real!r}{result.anchor.imag:+}j")
@@ -152,7 +140,7 @@ def _cmd_torotropy(args) -> int:
             for phi, _, _ in result.per_angle:
                 prof = phasespace.radial_profile(rho, result.anchor, phi)
                 for r, q in zip(prof.radii, prof.values):
-                    fh.write(f"{phi!r},{r!r},{q!r}\n")
+                    fh.write(_csv_line(phi, r, q))
         print(f"wrote {args.out}")
     return 0
 
@@ -175,13 +163,11 @@ def _cmd_markov(args) -> int:
                 ]
             fh.write(",".join(header) + "\n")
             for i, s in enumerate(traces[0].times):
-                cells = [repr(float(s))]
+                cells = [s]
                 for trace in traces:
-                    cells += [
-                        repr(trace.c_out[i].real), repr(trace.c_out[i].imag),
-                        repr(trace.c_in[i].real), repr(trace.c_in[i].imag),
-                    ]
-                fh.write(",".join(cells) + "\n")
+                    c_out, c_in = trace.c_out[i], trace.c_in[i]
+                    cells += [c_out.real, c_out.imag, c_in.real, c_in.imag]
+                fh.write(_csv_line(*cells))
         print(f"wrote {args.out}")
     return 0 if all(t.converged for t in traces) else 2
 
@@ -202,7 +188,11 @@ def main(argv=None) -> int:
         "markov-check": _cmd_markov,
         "validate": _cmd_validate,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except redfield.SteadyStateError as exc:
+        print(f"qdmr: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

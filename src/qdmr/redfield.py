@@ -25,6 +25,7 @@ plus the coherent part -i*omega*(j - m) on each block's element (j, m).
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -74,6 +75,14 @@ class BlockDensityMatrix:
     def occupation(self) -> float:
         """Dot occupation <n> = tr(rho1), frame independent."""
         return float(np.trace(self.rho1).real)
+
+    @property
+    def fock_tail(self) -> float:
+        """Population in the top tenth of the Fock cutoff (at least one level)."""
+        n = self.n_cut
+        top = max(1, math.ceil(0.1 * n))
+        diag = np.diagonal(self.rho0).real + np.diagonal(self.rho1).real
+        return float(diag[n - top :].sum())
 
 
 @dataclass(frozen=True)
@@ -159,11 +168,15 @@ class Liouvillian:
     """Dense generator acting on the stacked vector [vec(rho0); vec(rho1)].
 
     Row-major vectorization: element (j, m) of a block sits at j*N + m.
+    ``decoupled`` is set from the coupling (lam == 0): the displacement is
+    then the identity, every Fock population is stationary and the
+    kernel has dimension N.
     """
 
     matrix: np.ndarray
     n_cut: int
     omega: float
+    decoupled: bool
 
     @property
     def dim(self) -> int:
@@ -215,7 +228,7 @@ def assemble_liouvillian(
     di = np.arange(nn)
     mat[di, di] += coherent
     mat[nn + di, nn + di] += coherent
-    return Liouvillian(matrix=mat, n_cut=n, omega=omega)
+    return Liouvillian(matrix=mat, n_cut=n, omega=omega, decoupled=config.system.lam == 0.0)
 
 
 @dataclass(frozen=True)
@@ -228,10 +241,9 @@ class SteadyStateInfo:
     min_eig: tuple[float, float]
 
 
-def _least_dominant_row(mat: np.ndarray) -> int:
-    absrow = np.abs(mat).sum(axis=1)
-    dominance = 2.0 * np.abs(np.diagonal(mat)) - absrow
-    return int(np.argmin(dominance))
+def _least_dominant_row(mat: np.ndarray, rows: np.ndarray) -> int:
+    dominance = 2.0 * np.abs(mat[rows, rows]) - np.abs(mat[rows]).sum(axis=1)
+    return int(rows[np.argmin(dominance)])
 
 
 def steady_state(
@@ -243,84 +255,54 @@ def steady_state(
 ) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
     """Unique trace-one kernel vector of the generator.
 
-    Replaces one row of the generator (the least diagonally dominant
-    one unless ``norm_row`` overrides it) with the trace functional and
-    solves the bordered system.  Falls back to a least-squares solve
-    when the bordered matrix is singular or the residual gate fails;
-    in that case a second, independently constrained solution is
-    computed, and if it differs the kernel is multi-dimensional: that
-    raises unless ``allow_degenerate`` (the returned state is then one
-    valid stationary state, minimum-norm).
+    Replaces one population row of the generator (the least diagonally
+    dominant one unless ``norm_row`` overrides it) with the trace
+    functional and solves the bordered system, which is nonsingular
+    whenever the kernel is one-dimensional.  A decoupled generator has an
+    N-dimensional kernel: that raises unless ``allow_degenerate``, which
+    returns the representative with flat Fock populations, rho0 = (1-p1) I/N
+    and rho1 = p1 I/N, where p1 = gamma_in / (gamma_in + gamma_out) and the
+    two total dot rates are read off the generator diagonal.
     """
     mat = liou.matrix
     dim = liou.dim
     n = liou.n_cut
+    nn = n * n
     t = liou.trace_vector
     norm_l = float(np.abs(mat).sum(axis=1).max())
     gate = rel_tol * norm_l
-    row = _least_dominant_row(mat) if norm_row is None else int(norm_row)
+    row = _least_dominant_row(mat, np.flatnonzero(t)) if norm_row is None else int(norm_row)
+    if t[row] == 0:
+        raise ValueError(f"norm_row {row} is not a population row")
 
-    bordered = mat.copy()
-    bordered[row, :] = t
-    rhs = np.zeros(dim, dtype=complex)
-    rhs[row] = 1.0
-
-    x = None
-    method = "lu"
-    degenerate = False
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu = scipy.linalg.lu_factor(bordered)
-            cand = scipy.linalg.lu_solve(lu, rhs)
-            if np.all(np.isfinite(cand)):
-                # iterative refinement: pushes the kernel residual to
-                # rounding level so conservation identities hold tightly
-                for _ in range(2):
-                    correction = scipy.linalg.lu_solve(lu, rhs - bordered @ cand)
-                    if not np.all(np.isfinite(correction)):
-                        break
-                    cand = cand + correction
-            if np.all(np.isfinite(cand)) and np.abs(mat @ cand).max() <= gate:
-                x = cand
-    except np.linalg.LinAlgError:
-        x = None
-
-    if x is None:
-        method = "lstsq"
-        scale = norm_l if norm_l > 0 else 1.0
-        stacked = np.vstack([mat, scale * t[None, :]])
-        target = np.zeros(dim + 1, dtype=complex)
-        target[-1] = scale
-        x, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-        resid = float(np.abs(mat @ x).max())
-        if resid > gate:
-            raise SteadyStateError(
-                f"steady-state residual {resid:.3e} exceeds gate {gate:.3e}"
+    if liou.decoupled:
+        if not allow_degenerate:
+            raise DegenerateSteadyStateError(
+                "stationary state is not unique; pass allow_degenerate=True "
+                "to accept one representative (dot-sector observables remain valid)"
             )
-        # probe for a second stationary direction: pin a random functional
-        # to a value the first solution does not satisfy and re-solve
-        rng = np.random.default_rng(0x5EED)
-        g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        g /= np.linalg.norm(g)
-        offset = complex(g @ x) + 0.5 * max(1.0, float(np.abs(x).max()))
-        stacked2 = np.vstack([stacked, scale * g[None, :]])
-        target2 = np.append(target, scale * offset)
-        y, *_ = np.linalg.lstsq(stacked2, target2, rcond=None)
-        if (
-            float(np.abs(mat @ y).max()) <= gate
-            and abs(complex(t @ y) - 1.0) <= 1e-6
-            and float(np.abs(y - x).max()) > 1e-6 * max(1.0, float(np.abs(x).max()))
-        ):
-            degenerate = True
-            if not allow_degenerate:
-                raise DegenerateSteadyStateError(
-                    "stationary state is not unique; pass allow_degenerate=True "
-                    "to accept one representative (dot-sector observables remain valid)"
-                )
+        gamma_in, gamma_out = -mat[0, 0].real, -mat[nn, nn].real
+        p1 = gamma_in / (gamma_in + gamma_out)
+        flat = np.eye(n, dtype=complex).reshape(-1) / n
+        x = np.concatenate([(1.0 - p1) * flat, p1 * flat])
+        method = "decoupled"
+    else:
+        bordered = mat.copy()
+        bordered[row, :] = t
+        rhs = np.zeros(dim, dtype=complex)
+        rhs[row] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a singular pivot fails the residual gate below
+            lu = scipy.linalg.lu_factor(bordered)
+            x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+            # iterative refinement: pushes the kernel residual to
+            # rounding level so conservation identities hold tightly
+            for _ in range(2):
+                x = x + scipy.linalg.lu_solve(lu, rhs - bordered @ x, check_finite=False)
+        method = "lu"
 
-    rho0 = x[: n * n].reshape(n, n)
-    rho1 = x[n * n :].reshape(n, n)
+    rho0 = x[:nn].reshape(n, n)
+    rho1 = x[nn:].reshape(n, n)
     rho0 = 0.5 * (rho0 + rho0.conj().T)
     rho1 = 0.5 * (rho1 + rho1.conj().T)
     tr = float(np.trace(rho0).real + np.trace(rho1).real)
@@ -329,7 +311,7 @@ def steady_state(
 
     final = np.concatenate([rho0.reshape(-1), rho1.reshape(-1)])
     residual = float(np.abs(mat @ final).max())
-    if residual > gate:
+    if not residual <= gate:
         raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {gate:.3e}")
     min_eig = (
         float(np.linalg.eigvalsh(rho0)[0]),
@@ -340,7 +322,7 @@ def steady_state(
         rel_residual=residual / norm_l if norm_l > 0 else residual,
         norm_row=row,
         method=method,
-        degenerate=degenerate,
+        degenerate=liou.decoupled,
         min_eig=min_eig,
     )
     return BlockDensityMatrix(rho0=rho0, rho1=rho1, frame="polaron"), info
@@ -355,6 +337,25 @@ def to_lab_frame(state: BlockDensityMatrix, displacement: np.ndarray) -> BlockDe
         rho1=displacement.T @ state.rho1 @ displacement,
         frame="lab",
     )
+
+
+@dataclass(frozen=True)
+class Solution:
+    """One solved operating point; ``lab`` is None when the state is degenerate."""
+
+    tensors: tuple[RedfieldTensors, RedfieldTensors]  # (L, R)
+    polaron: BlockDensityMatrix
+    lab: BlockDensityMatrix | None
+    info: SteadyStateInfo
+
+
+def solve(config: ModelConfig, *, allow_degenerate: bool = False) -> Solution:
+    """Tensors, generator, stationary state and lab frame of one operating point."""
+    tensors = (build_tensors(config, config.lead_L), build_tensors(config, config.lead_R))
+    liou = assemble_liouvillian(config, tensors)
+    state, info = steady_state(liou, allow_degenerate=allow_degenerate)
+    lab = None if info.degenerate else to_lab_frame(state, tensors[0].displacement)
+    return Solution(tensors=tensors, polaron=state, lab=lab, info=info)
 
 
 _MAGIC = b"QDMRNES1"

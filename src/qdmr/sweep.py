@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
@@ -22,11 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import observables, phasespace, redfield
+from . import __version__, observables, phasespace, redfield
 from .configfile import SweepSpec, config_from_dict, config_to_dict
 from .model import ModelConfig
-
-VERSION = "0.1.0"
 
 ADAPTIVE_START = 20
 ADAPTIVE_STEP = 10
@@ -35,16 +32,27 @@ ADAPTIVE_TAIL_TOL = 1e-6
 ADAPTIVE_DRIFT_TOL = 0.01
 
 _BASE_COLUMNS = ("status", "n_cut", "residual", "min_eig")
+# output group -> {column: attribute path on PointResult}; a None on the
+# path gives nan, or "" for the text column "mode"
 _GROUP_COLUMNS = {
-    "transport": ("current_L", "current_R"),
-    "thermo": (
-        "occupation", "phonon_number",
-        "heat_el_L", "heat_el_R", "heat_mec_L", "heat_mec_R",
-        "heat_tot_L", "heat_tot_R",
-        "power", "zeta", "first_law_residual",
-    ),
-    "phasespace": ("torotropy", "ergotropy", "alpha_c_re", "alpha_c_im", "barycenter_gap"),
-    "mode": ("mode", "eta_converter", "eta_heater"),
+    "transport": {"current_L": "report.current_l", "current_R": "report.current_r"},
+    "thermo": {
+        "occupation": "report.occupation", "phonon_number": "report.phonon_number",
+        "heat_el_L": "report.heat_el_l", "heat_el_R": "report.heat_el_r",
+        "heat_mec_L": "report.heat_mec_l", "heat_mec_R": "report.heat_mec_r",
+        "heat_tot_L": "report.heat_total_l", "heat_tot_R": "report.heat_total_r",
+        "power": "report.power", "zeta": "report.zeta",
+        "first_law_residual": "report.first_law_residual",
+    },
+    "phasespace": {
+        "torotropy": "torotropy.value", "ergotropy": "ergotropy",
+        "alpha_c_re": "torotropy.barycenter.real", "alpha_c_im": "torotropy.barycenter.imag",
+        "barycenter_gap": "barycenter_gap",
+    },
+    "mode": {
+        "mode": "report.mode",
+        "eta_converter": "report.eta_converter", "eta_heater": "report.eta_heater",
+    },
 }
 
 
@@ -72,52 +80,34 @@ class PointResult:
     polaron_state: redfield.BlockDensityMatrix | None = None
     lab_state: redfield.BlockDensityMatrix | None = None
 
-    def row(self, outputs: tuple[str, ...]) -> dict:
-        nan = float("nan")
-        row = {
-            "status": self.status,
-            "n_cut": self.n_cut,
-            "residual": self.residual,
-            "min_eig": self.min_eig,
-        }
-        rep = self.report
+    @property
+    def barycenter_gap(self) -> float | None:
         tq = self.torotropy
-        if "transport" in outputs:
-            row["current_L"] = rep.current_l if rep else nan
-            row["current_R"] = rep.current_r if rep else nan
-        if "thermo" in outputs:
-            row["occupation"] = rep.occupation if rep else nan
-            row["phonon_number"] = rep.phonon_number if rep else nan
-            row["heat_el_L"] = rep.heat_el_l if rep else nan
-            row["heat_el_R"] = rep.heat_el_r if rep else nan
-            row["heat_mec_L"] = rep.heat_mec_l if rep else nan
-            row["heat_mec_R"] = rep.heat_mec_r if rep else nan
-            row["heat_tot_L"] = rep.heat_total_l if rep else nan
-            row["heat_tot_R"] = rep.heat_total_r if rep else nan
-            row["power"] = rep.power if rep else nan
-            row["zeta"] = rep.zeta if rep else nan
-            row["first_law_residual"] = rep.first_law_residual if rep else nan
-        if "phasespace" in outputs:
-            row["torotropy"] = tq.value if tq else nan
-            row["ergotropy"] = self.ergotropy if self.ergotropy is not None else nan
-            row["alpha_c_re"] = tq.barycenter.real if tq else nan
-            row["alpha_c_im"] = tq.barycenter.imag if tq else nan
-            row["barycenter_gap"] = abs(tq.barycenter - tq.anchor) if tq else nan
-        if "mode" in outputs:
-            row["mode"] = rep.mode if rep else ""
-            row["eta_converter"] = rep.eta_converter if rep and rep.eta_converter is not None else nan
-            row["eta_heater"] = rep.eta_heater if rep and rep.eta_heater is not None else nan
+        return abs(tq.barycenter - tq.anchor) if tq else None
+
+    def row(self, outputs: tuple[str, ...]) -> dict:
+        row = {column: getattr(self, column) for column in _BASE_COLUMNS}
+        for group, columns in _GROUP_COLUMNS.items():
+            if group in outputs:
+                for column, path in columns.items():
+                    row[column] = self._cell(column, path)
         return row
+
+    def _cell(self, column: str, path: str):
+        value = self
+        for name in path.split("."):
+            if value is None:
+                break
+            value = getattr(value, name)
+        if value is None:
+            return "" if column == "mode" else float("nan")
+        return value
 
 
 def _solve_point(config: ModelConfig, outputs: tuple[str, ...]) -> PointResult:
     lam = config.system.lam
-    tensors_l = redfield.build_tensors(config, config.lead_L)
-    tensors_r = redfield.build_tensors(config, config.lead_R)
-    liou = redfield.assemble_liouvillian(config, (tensors_l, tensors_r))
-    state, info = redfield.steady_state(liou, allow_degenerate=(lam == 0.0))
-
-    lab = None if info.degenerate else redfield.to_lab_frame(state, tensors_l.displacement)
+    sol = redfield.solve(config, allow_degenerate=(lam == 0.0))
+    lab = sol.lab
 
     tq_result = None
     ergo = None
@@ -127,27 +117,20 @@ def _solve_point(config: ModelConfig, outputs: tuple[str, ...]) -> PointResult:
         ergo = phasespace.ergotropy(rho_qmr, config.system.omega)
 
     report = observables.build_report(
-        config, state, lab, tensors_l, tensors_r,
+        config, sol.polaron, lab, *sol.tensors,
         torotropy_value=tq_result.value if tq_result else None,
     )
     return PointResult(
-        status="degenerate" if info.degenerate else "ok",
+        status="degenerate" if sol.info.degenerate else "ok",
         n_cut=config.system.n_cut,
-        residual=info.residual,
-        min_eig=min(info.min_eig),
+        residual=sol.info.residual,
+        min_eig=min(sol.info.min_eig),
         report=report,
         torotropy=tq_result,
         ergotropy=ergo,
-        polaron_state=state,
+        polaron_state=sol.polaron,
         lab_state=lab,
     )
-
-
-def _phonon_tail(lab_state: redfield.BlockDensityMatrix) -> float:
-    n = lab_state.n_cut
-    top = max(1, math.ceil(0.1 * n))
-    diag = np.diagonal(lab_state.rho0).real + np.diagonal(lab_state.rho1).real
-    return float(diag[n - top :].sum())
 
 
 def run_point(
@@ -172,7 +155,7 @@ def run_point(
             cfg = replace(config, system=replace(config.system, n_cut=n))
             prev = result
             result = _solve_point(cfg, outputs)
-            tail_ok = result.lab_state is not None and _phonon_tail(result.lab_state) < ADAPTIVE_TAIL_TOL
+            tail_ok = result.lab_state is not None and result.lab_state.fock_tail < ADAPTIVE_TAIL_TOL
             drift_ok = True
             if "phasespace" in outputs and prev is not None and prev.torotropy and result.torotropy:
                 a, b = prev.torotropy.value, result.torotropy.value
@@ -184,12 +167,12 @@ def run_point(
                 return replace(result, status="n_cut_cap")
             n += ADAPTIVE_STEP
     except Exception as exc:  # recorded per point, never fatal to a sweep
-        return PointResult(
-            status=f"error:{type(exc).__name__}",
-            n_cut=config.system.n_cut,
-            residual=float("nan"),
-            min_eig=float("nan"),
-        )
+        return _failed(config.system.n_cut, exc)
+
+
+def _failed(n_cut: int, exc: Exception) -> PointResult:
+    nan = float("nan")
+    return PointResult(status=f"error:{type(exc).__name__}", n_cut=n_cut, residual=nan, min_eig=nan)
 
 
 def sweep_columns(spec: SweepSpec) -> list[str]:
@@ -214,7 +197,7 @@ def _format_cell(value) -> str:
 
 
 def _metadata_lines(config: ModelConfig, spec: SweepSpec) -> list[str]:
-    lines = [f"# qdmr sweep v{VERSION}"]
+    lines = [f"# qdmr sweep v{__version__}"]
     for key, value in config_to_dict(config).items():
         lines.append(f"# config.{key} = {_format_cell(value)}")
     a1 = spec.axis1
@@ -253,12 +236,7 @@ def _evaluate_task(args: tuple) -> tuple[int, dict]:
             config = apply_axis(config, name, value)
         result = run_point(config, tuple(outputs), n_cut_policy=n_cut_policy)
     except Exception as exc:  # invalid point, recorded like a solver failure
-        result = PointResult(
-            status=f"error:{type(exc).__name__}",
-            n_cut=int(config_data["system.n_cut"]),
-            residual=float("nan"),
-            min_eig=float("nan"),
-        )
+        result = _failed(int(config_data["system.n_cut"]), exc)
     row = dict(assign)
     row.update(result.row(tuple(outputs)))
     return index, row

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import leads, observables, redfield
+from . import leads, observables, phasespace, redfield
 from .model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk
 
 
@@ -54,13 +54,6 @@ def two_state_current(config: ModelConfig) -> float:
     return g_l * g_r / (g_l + g_r) * (f_l - f_r)
 
 
-def _solve(config: ModelConfig):
-    tensors = tuple(redfield.build_tensors(config, lead) for lead in config.leads)
-    liou = redfield.assemble_liouvillian(config, tensors)
-    state, info = redfield.steady_state(liou, allow_degenerate=(config.system.lam == 0.0))
-    return tensors, state, info
-
-
 def _check(name: str, value: float, gate: float) -> dict:
     return {"name": name, "value": value, "gate": gate, "passed": bool(value <= gate)}
 
@@ -74,8 +67,8 @@ def validate_oracle() -> dict:
     checks = []
     for mu_tilde in np.linspace(-60.0, 60.0, 21):
         config = reference_config(delta_mu=-50.0, mu_tilde=float(mu_tilde), lam=0.0, n_cut=6)
-        tensors, state, _ = _solve(config)
-        i_r = observables.particle_current(tensors[1], state)
+        sol = redfield.solve(config, allow_degenerate=True)
+        i_r = observables.particle_current(sol.tensors[1], sol.polaron)
         expected = two_state_current(config)
         rel = abs(i_r - expected) / abs(expected)
         checks.append(_check(f"current_mu_tilde_{mu_tilde:+.0f}", rel, 1e-8))
@@ -90,8 +83,8 @@ def validate_conservation() -> dict:
             config = reference_config(
                 delta_mu=delta_mu, mu_tilde=mu_tilde, delta_t_mk=40.0, n_cut=20
             )
-            tensors, state, _ = _solve(config)
-            report = observables.build_report(config, state, None, tensors[0], tensors[1])
+            sol = redfield.solve(config)
+            report = observables.build_report(config, sol.polaron, None, *sol.tensors)
             tag = f"mu{mu_tilde:+.0f}_dmu{delta_mu:+.0f}"
             i_scale = max(abs(report.current_l), abs(report.current_r))
             checks.append(
@@ -136,18 +129,13 @@ def validate_truncation() -> dict:
     precision; the sweep layer reports those points through its adaptive
     cutoff diagnostics instead.
     """
-    from . import phasespace
-
     results = {}
     for n in (30, 40):
         config = reference_config(delta_mu=-50.0, mu_tilde=-60.0, n_cut=n)
-        tensors, state, _ = _solve(config)
-        lab = redfield.to_lab_frame(state, tensors[0].displacement)
-        i_r = observables.particle_current(tensors[1], state)
-        tq = phasespace.torotropy(lab, config.system.lam)
-        diag = np.diagonal(lab.rho0 + lab.rho1).real
-        tail = float(diag[n - max(2, n // 10) :].sum())
-        results[n] = (i_r, tq.value, tail)
+        sol = redfield.solve(config)
+        i_r = observables.particle_current(sol.tensors[1], sol.polaron)
+        tq = phasespace.torotropy(sol.lab, config.system.lam)
+        results[n] = (i_r, tq.value, sol.lab.fock_tail)
     d_current = abs(results[40][0] - results[30][0]) / abs(results[40][0])
     tq_scale = max(abs(results[40][1]), abs(results[30][1]), 1e-12)
     d_tq = abs(results[40][1] - results[30][1]) / tq_scale

@@ -8,13 +8,7 @@ import pytest
 from qdmr.model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk
 from qdmr.observables import build_report
 from qdmr.phasespace import reduce_resonator, torotropy
-from qdmr.redfield import (
-    assemble_liouvillian,
-    build_tensors,
-    steady_state,
-    to_lab_frame,
-)
-from qdmr.sweep import _phonon_tail
+from qdmr.redfield import solve
 
 
 def make_config(
@@ -55,13 +49,9 @@ def make_config(
 
 
 def solve_point(config: ModelConfig, *, allow_degenerate: bool = False):
-    """One full solve: (tensors_l, tensors_r, polaron, lab, info)."""
-    tensors_l = build_tensors(config, config.lead_L)
-    tensors_r = build_tensors(config, config.lead_R)
-    liou = assemble_liouvillian(config, (tensors_l, tensors_r))
-    state, info = steady_state(liou, allow_degenerate=allow_degenerate)
-    lab = to_lab_frame(state, tensors_l.displacement)
-    return tensors_l, tensors_r, state, lab, info
+    """One full solve: (tensors_l, tensors_r, polaron, lab, info); lab is None when degenerate."""
+    sol = solve(config, allow_degenerate=allow_degenerate)
+    return (*sol.tensors, sol.polaron, sol.lab, sol.info)
 
 
 def polaron_coherence(state) -> float:
@@ -96,7 +86,7 @@ def bias_grid_rows():
                     "delta_mu": float(dmu),
                     "report": report,
                     "coherence": polaron_coherence(state),
-                    "tail": _phonon_tail(lab),
+                    "tail": lab.fock_tail,
                     "occupation": state.occupation,
                     "residual": info.residual,
                 }

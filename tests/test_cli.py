@@ -35,6 +35,14 @@ chem_potential = -30.0
 """
 
 
+def _assert_numeric_cells(lines):
+    data = [l for l in lines if l and not l.startswith("#")][1:]
+    assert data
+    for line in data:
+        for cell in line.split(","):
+            float(cell)
+
+
 @pytest.fixture
 def ini(tmp_path):
     path = tmp_path / "run.ini"
@@ -131,6 +139,7 @@ class TestHusimi:
         assert "re_alpha,im_alpha,q" in lines
         data = [l for l in lines if l and not l.startswith("#")]
         assert len(data) == 1 + 21 * 21
+        _assert_numeric_cells(lines)
 
     def test_extent_flag(self, ini, tmp_path):
         out = tmp_path / "q.csv"
@@ -166,6 +175,7 @@ class TestTorotropy:
         lines = out.read_text().splitlines()
         assert lines[0] == "# qdmr torotropy radial profiles"
         assert "phi,r,q_normalized" in lines
+        _assert_numeric_cells(lines)
 
 
 class TestMarkovCheck:
@@ -183,6 +193,7 @@ class TestMarkovCheck:
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[0] == "s_ns"
         assert "L_re_c_out" in lines[1]
+        _assert_numeric_cells(lines)
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
 """Configuration files, axis plumbing, point evaluation, and sweep output."""
 
+import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -17,6 +18,7 @@ from qdmr.configfile import (
     load_config,
 )
 from qdmr.sweep import apply_axis, run_point, run_sweep
+from qdmr.validation import two_state_current
 
 from conftest import make_config
 
@@ -210,7 +212,7 @@ class TestRunPoint:
         result = run_point(config, n_cut_policy="adaptive")
         assert result.status == "ok"
         assert result.n_cut >= sweep.ADAPTIVE_START
-        tail = sweep._phonon_tail(result.lab_state)
+        tail = result.lab_state.fock_tail
         assert tail < sweep.ADAPTIVE_TAIL_TOL
 
     def test_adaptive_policy_caps_with_warning_status(self, monkeypatch):
@@ -313,6 +315,27 @@ class TestRunSweep:
         assert status[0.7] == "ok"
         assert status[0.0] == "degenerate"
         assert status[-0.7] == "error:ValueError"
+
+    def test_zero_coupling_rows_are_degenerate_with_closed_form_current(self, tmp_path):
+        # the mu_tilde grid holds -36, 12, 36, 54 and 60, where a bordered
+        # LU solve of the decoupled generator succeeds and would return an
+        # arbitrary phonon sector
+        config = make_config(delta_mu=-50.0, n_cut=6)
+        spec = _small_spec(
+            axis1=SweepAxis("lam", 0.0, 0.7, 2), axis2=SweepAxis("mu_tilde", -36.0, 60.0, 17)
+        )
+        out = tmp_path / "lam0.csv"
+        run_sweep(config, spec, out)
+        with open(out) as fh:
+            rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+        zero = [r for r in rows if float(r["lam"]) == 0.0]
+        assert len(zero) == 17
+        for row in zero:
+            assert row["status"] == "degenerate"
+            for column in ("phonon_number", "zeta", "torotropy", "ergotropy", "barycenter_gap"):
+                assert math.isnan(float(row[column]))
+            point = apply_axis(apply_axis(config, "lam", 0.0), "mu_tilde", float(row["mu_tilde"]))
+            assert abs(float(row["current_R"]) - two_state_current(point)) <= 1e-12
 
     def test_resume_completes_partial_journal_bit_identically(self, tmp_path):
         config = make_config(lam=0.7, n_cut=8)

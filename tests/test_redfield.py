@@ -174,10 +174,19 @@ class TestSteadyState:
             config, tuple(build_tensors(config, lead) for lead in config.leads)
         )
         base, info = steady_state(liou)
-        other_row = (info.norm_row + 17) % liou.dim
+        population = np.flatnonzero(liou.trace_vector)
+        other_row = int(population[population != info.norm_row][-1])
         alt, _ = steady_state(liou, norm_row=other_row)
         np.testing.assert_allclose(alt.rho0, base.rho0, atol=1e-10)
         np.testing.assert_allclose(alt.rho1, base.rho1, atol=1e-10)
+
+    def test_coherence_pivot_is_rejected(self):
+        config = make_config(**ASYM)
+        liou = assemble_liouvillian(
+            config, tuple(build_tensors(config, lead) for lead in config.leads)
+        )
+        with pytest.raises(ValueError):
+            steady_state(liou, norm_row=1)  # element (0, 1) of rho0
 
     def test_blocks_are_physical(self):
         config = make_config(**ASYM)
@@ -204,6 +213,10 @@ class TestSteadyState:
         )
         state, info = steady_state(liou, allow_degenerate=True)
         assert info.degenerate
+        assert info.method == "decoupled"
+        flat = np.eye(config.system.n_cut) / config.system.n_cut
+        np.testing.assert_allclose(state.rho1, state.occupation * flat, atol=1e-15)
+        np.testing.assert_allclose(state.rho0, (1.0 - state.occupation) * flat, atol=1e-15)
         # dot occupation is the window-weighted mean of the two lead
         # occupations at the dot level, independent of the phonon sector
         mu = config.system.mu_tilde
