@@ -148,9 +148,12 @@ def _cmd_torotropy(args) -> int:
 def _cmd_markov(args) -> int:
     config, _ = _load(args)
     traces = [leads.bath_correlation(lead) for lead in config.leads]
-    for trace in traces:
+    for lead, trace in zip(config.leads, traces):
         state = f"decays at {trace.decay_time:.4f} ns" if trace.converged else "does not decay in window"
-        print(f"lead {trace.label}: {state} (threshold {trace.threshold:g} of |C(0)|)")
+        print(
+            f"lead {trace.label}: {state} (threshold {trace.threshold:g} of |C(0)|), "
+            f"sum rule residual {validation.sum_rule_residual(lead, trace):.1e}"
+        )
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("# qdmr bath correlation traces\n")
@@ -190,6 +193,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except redfield.DegenerateSteadyStateError:
+        print(
+            f"qdmr {args.command}: lam = 0 decouples the resonator, so it has no unique "
+            "phonon state to export; only dot-sector outputs (qdmr point) are defined there",
+            file=sys.stderr,
+        )
+        return 2
     except redfield.SteadyStateError as exc:
         print(f"qdmr: {exc}", file=sys.stderr)
         return 2

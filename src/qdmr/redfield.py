@@ -39,8 +39,11 @@ from .model import LeadParams, ModelConfig
 from .phonon import displacement_matrix
 
 
+MIN_EIG_FLOOR = -1e-8  # smallest block eigenvalue a stationary state may have
+
+
 class SteadyStateError(RuntimeError):
-    """Steady-state solve failed to meet the residual gate."""
+    """Steady-state solve failed to meet the residual or positivity gate."""
 
 
 class DegenerateSteadyStateError(SteadyStateError):
@@ -263,6 +266,10 @@ def steady_state(
     returns the representative with flat Fock populations, rho0 = (1-p1) I/N
     and rho1 = p1 I/N, where p1 = gamma_in / (gamma_in + gamma_out) and the
     two total dot rates are read off the generator diagonal.
+
+    A state whose smallest block eigenvalue lies below ``MIN_EIG_FLOOR``
+    raises: a numerically degenerate generator (0 < lam <= 1e-8) passes
+    the residual gate with a state far from positive.
     """
     mat = liou.matrix
     dim = liou.dim
@@ -317,6 +324,11 @@ def steady_state(
         float(np.linalg.eigvalsh(rho0)[0]),
         float(np.linalg.eigvalsh(rho1)[0]),
     )
+    if not min(min_eig) >= MIN_EIG_FLOOR:
+        raise SteadyStateError(
+            f"stationary state is not positive: smallest block eigenvalue "
+            f"{min(min_eig):.3e} is below {MIN_EIG_FLOOR:.0e}"
+        )
     info = SteadyStateInfo(
         residual=residual,
         rel_residual=residual / norm_l if norm_l > 0 else residual,

@@ -100,8 +100,20 @@ def validate_conservation() -> dict:
     return _finish("conservation", checks)
 
 
+def sum_rule_residual(lead: LeadParams, trace: leads.CorrelationTrace) -> float:
+    """|Re(C_in(0) + C_out(0)) - gamma*delta/2| relative to gamma*delta/2.
+
+    The two correlators at s = 0 (the trace's first time) integrate
+    window * f and window * (1-f), so their sum is the window's integral
+    over 2pi, gamma*delta/2.
+    """
+    total = 0.5 * lead.gamma_rate * lead.delta
+    return abs((trace.c_in[0] + trace.c_out[0]).real - total) / total
+
+
 def validate_markov() -> dict:
-    """Bath memory must be short: both correlators decay below 1% in-window."""
+    """Bath memory must be short (both correlators decay below 1% in-window)
+    and the correlators must meet the zero-time sum rule."""
     config = reference_config(delta_mu=-40.0, delta_t_mk=40.0)
     checks = []
     for lead in config.leads:
@@ -115,6 +127,7 @@ def validate_markov() -> dict:
                 "passed": bool(ok),
             }
         )
+        checks.append(_check(f"sum_rule_lead_{lead.label}", sum_rule_residual(lead, trace), 1e-10))
     return _finish("markov", checks)
 
 

@@ -116,6 +116,37 @@ def bath_correlation_zero_time(lead, kind: str) -> float:
     return total / (2.0 * math.pi)
 
 
+def bath_correlation_quad(lead, kind: str, s: float) -> complex:
+    """C(s) for s > 0 by Fourier quadrature over the full frequency axis.
+
+    ``kind='out'`` is (1/2pi) int rate_out(w) e^{-iws} dw, ``'in'`` is
+    (1/2pi) int rate_in(w) e^{+iws} dw.  The axis is folded onto w >= 0
+    (even part against cos, odd part against sin); a finite piece past
+    every spectral feature is integrated with QAWO and the infinite
+    tail with QAWF (``quad`` with ``weight='cos'``/``'sin'``).
+    """
+    rate = rate_out_ref if kind == "out" else rate_in_ref
+
+    def even(w):
+        return rate(w, lead) + rate(-w, lead)
+
+    def odd(w):
+        return rate(w, lead) - rate(-w, lead)
+
+    span = (
+        abs(lead.gamma_center) + abs(lead.chem_potential)
+        + 200.0 * lead.delta + 50.0 * lead.temperature
+    )
+    tol = 1e-13 * lead.gamma_rate * lead.delta  # absolute, on the scale of C(0)
+    parts = []
+    for func, weight in ((even, "cos"), (odd, "sin")):
+        head, _ = quad(func, 0.0, span, weight=weight, wvar=s, limit=4000, epsabs=tol, epsrel=0.0)
+        tail, _ = quad(func, span, math.inf, weight=weight, wvar=s, limit=4000, limlst=200, epsabs=tol)
+        parts.append(head + tail)
+    sign = -1.0 if kind == "out" else 1.0
+    return complex(parts[0], sign * parts[1]) / (2.0 * math.pi)
+
+
 # --- rank-4 transition tensors, literal loops ----------------------------
 
 

@@ -178,6 +178,19 @@ class TestTorotropy:
         _assert_numeric_cells(lines)
 
 
+class TestZeroCoupling:
+    @pytest.mark.parametrize("command", ["husimi", "torotropy"])
+    def test_phonon_export_at_zero_coupling_says_decoupled(self, command, ini, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = main([command, "--config", ini, "--set", "system.lam=0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "lam = 0 decouples the resonator" in err
+        assert "no unique phonon state" in err
+        assert "allow_degenerate" not in err
+        assert not out.exists()
+
+
 class TestMarkovCheck:
     def test_decay_reported_for_both_leads(self, ini, capsys):
         code = main(["markov-check", "--config", ini])
@@ -185,6 +198,15 @@ class TestMarkovCheck:
         assert code == 0
         assert "lead L: decays at" in out
         assert "lead R: decays at" in out
+
+    def test_sum_rule_residual_printed_per_lead(self, ini, capsys):
+        code = main(["markov-check", "--config", ini])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        for label in ("L", "R"):
+            (line,) = [l for l in lines if l.startswith(f"lead {label}:")]
+            residual = float(line.split("sum rule residual ")[1])
+            assert residual <= 1e-10
 
     def test_trace_csv(self, ini, tmp_path):
         out = tmp_path / "traces.csv"

@@ -207,6 +207,21 @@ class TestRunPoint:
         assert math.isnan(row["phonon_number"])
         assert not math.isnan(row["current_R"])
 
+    @pytest.mark.parametrize("lam", [1e-12, 1e-10, 1e-9, 1e-8])
+    def test_numerically_degenerate_coupling_fails_positivity_gate(self, lam):
+        # 0 < lam <= 1e-8 is not flagged decoupled, but the generator is
+        # numerically degenerate: LU meets the residual gate with a state
+        # whose smallest block eigenvalue is -0.1 to -5e-3
+        config = make_config(lam=lam, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
+        result = run_point(config)
+        assert result.status == "error:SteadyStateError"
+
+    def test_small_coupling_above_degeneracy_stays_ok(self):
+        config = make_config(lam=1e-6, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
+        result = run_point(config)
+        assert result.status == "ok"
+        assert result.min_eig >= -1e-8
+
     def test_adaptive_policy_grows_until_converged(self):
         config = make_config(mu_tilde=-5.0, delta_mu=60.0, lam=0.7, n_cut=10)
         result = run_point(config, n_cut_policy="adaptive")

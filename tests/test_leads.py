@@ -1,12 +1,14 @@
 """Reservoir occupations, tunneling windows, and bath-memory diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qdmr.leads import bath_correlation, fermi, rate_in, rate_out, tunneling_rate
 
 from conftest import make_config
-from oracles import bath_correlation_zero_time, fermi_ref, lorentz_ref
+from oracles import bath_correlation_quad, bath_correlation_zero_time, fermi_ref, lorentz_ref
 
 
 class TestFermi:
@@ -64,19 +66,91 @@ class TestDirectionalRates:
         assert rate_in(lead.chem_potential + 1.0e5, lead) == 0.0
 
 
+def _cold_lead():
+    # delta > pi*T: the Lorentzian pole lies beyond the first Matsubara
+    # poles and Re z2 = 1/2 - delta/(2 pi T) < 0 in the s = 0 digamma sum
+    lead = make_config(t_left_mk=10.0).lead_L
+    assert lead.delta > np.pi * lead.temperature
+    return lead
+
+
+def _centered_lead():
+    lead = make_config(delta_mu=-20.0).lead_L
+    assert lead.chem_potential == lead.gamma_center
+    return lead
+
+
+# times short enough that the Matsubara tail past the directly summed
+# poles carries weight
+FINE_GRID = np.array([0.0, 1e-6, 1e-4, 3e-3, 0.05, 0.4, 1.3])
+
+CORRELATION_CASES = {
+    "reference_L": (lambda: make_config(delta_mu=-40.0, t_right_mk=60.0).lead_L, None),
+    "reference_R": (lambda: make_config(delta_mu=-40.0, t_right_mk=60.0).lead_R, None),
+    "cold_delta_above_pi_T": (_cold_lead, None),
+    "mu_at_window_center": (_centered_lead, None),
+    "custom_grid_with_1e-6_ns": (lambda: make_config(delta_mu=-40.0).lead_R, FINE_GRID),
+    "cold_custom_grid_with_1e-6_ns": (_cold_lead, FINE_GRID),
+}
+
+
 class TestBathCorrelation:
     def test_zero_time_values_match_quadrature(self):
-        # The package grid stops where the window falls to 1e-6 of its
-        # peak, which leaves O(1e-3) of the 1/E^2 tail mass outside; the
-        # quadrature reference integrates the full tails, so agreement
-        # at 2e-3 is the expected floor (a convention error would be
-        # off by orders of magnitude).
+        # The pole sum is exact at s = 0 (a digamma difference), and the
+        # quadrature reference integrates the full 1/E^2 tails, so the
+        # two agree to the quadrature's accuracy; C(0) is real.
         lead = make_config().lead_L
         trace = bath_correlation(lead)
         for kind, arr in (("out", trace.c_out), ("in", trace.c_in)):
             ref = bath_correlation_zero_time(lead, kind)
-            assert arr[0].real == pytest.approx(ref, rel=2e-3)
-            assert abs(arr[0].imag) < 1e-6 * abs(ref)
+            assert arr[0].real == pytest.approx(ref, rel=1e-10)
+            assert abs(arr[0].imag) < 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("case", sorted(CORRELATION_CASES))
+    def test_matches_fourier_quadrature(self, case):
+        make_lead, times = CORRELATION_CASES[case]
+        lead = make_lead()
+        trace = bath_correlation(lead, times)
+        if times is None:  # every 40th point of the default grid
+            idx = np.arange(1, trace.times.size, 40)
+        else:
+            idx = np.arange(1, times.size)
+        for kind, arr in (("out", trace.c_out), ("in", trace.c_in)):
+            ref = np.array([bath_correlation_quad(lead, kind, s) for s in trace.times[idx]])
+            err = np.abs(arr[idx] - ref).max()
+            assert err <= 1e-9 * abs(arr[0]), (kind, err / abs(arr[0]))
+
+    @pytest.mark.parametrize("case", sorted(CORRELATION_CASES))
+    def test_sum_rule_holds_to_rounding(self, case):
+        make_lead, times = CORRELATION_CASES[case]
+        lead = make_lead()
+        trace = bath_correlation(lead, times)
+        total = 0.5 * lead.gamma_rate * lead.delta
+        assert abs((trace.c_in[0] + trace.c_out[0]).real - total) <= 1e-14 * total
+
+    def test_negative_times_are_conjugates(self):
+        lead = make_config(delta_mu=-40.0).lead_L
+        times = np.array([0.03, 0.2, 0.9])
+        fwd = bath_correlation(lead, times)
+        back = bath_correlation(lead, -times)
+        np.testing.assert_array_equal(back.c_out, np.conj(fwd.c_out))
+        np.testing.assert_array_equal(back.c_in, np.conj(fwd.c_in))
+
+    def test_memory_bounded_on_long_fine_grids(self):
+        # 2^17 times at 1e-6 ns spacing: one times x poles array would
+        # take 256 MB; chunked, the peak stays near the output vectors
+        lead = make_config().lead_L
+        times = np.linspace(0.0, 2**17 * 1e-6, 2**17 + 1)
+        tracemalloc.start()
+        try:
+            fine = bath_correlation(lead, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        coarse = bath_correlation(lead, times[:: 2**12])
+        np.testing.assert_allclose(fine.c_out[:: 2**12], coarse.c_out, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fine.c_in[:: 2**12], coarse.c_in, rtol=0, atol=1e-14)
 
     def test_memory_time_is_short_at_reference_point(self):
         trace = bath_correlation(make_config().lead_L)

@@ -1,8 +1,10 @@
 """Built-in validation suites must pass at the anchored parameters."""
 
+from dataclasses import replace
+
 import pytest
 
-from qdmr import validation
+from qdmr import leads, validation
 
 
 class TestSuites:
@@ -32,6 +34,16 @@ class TestSuites:
         assert report["passed"]
         for check in report["checks"]:
             assert check["value"] < check["gate"]
+        by_name = {c["name"]: c for c in report["checks"]}
+        for label in ("L", "R"):
+            assert by_name[f"sum_rule_lead_{label}"]["gate"] == 1e-10
+
+    def test_sum_rule_gate_catches_a_broken_correlator(self):
+        lead = validation.reference_config().lead_L
+        trace = leads.bath_correlation(lead)
+        assert validation.sum_rule_residual(lead, trace) <= 1e-14
+        broken = replace(trace, c_in=1.001 * trace.c_in)
+        assert validation.sum_rule_residual(lead, broken) > 1e-4
 
     def test_truncation_suite(self):
         report = validation.validate_truncation()
