@@ -24,6 +24,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _bounded(kind, low: float, *, strict: bool = False):
+    """argparse type: a finite ``kind`` number >= ``low`` (> ``low`` if ``strict``)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its "invalid ... value" message
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qdmr", description="Dot-resonator steady-state transport")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -41,13 +53,15 @@ def _build_parser() -> _Parser:
 
     p = with_config(sub.add_parser("sweep", help="run the sweep described by [sweep]"))
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--workers", type=int, help="override [sweep] workers")
+    p.add_argument("--workers", type=_bounded(int, 1), help="override [sweep] workers")
     p.add_argument("--resume", action="store_true", help="continue from the journal")
 
     p = with_config(sub.add_parser("husimi", help="export a Husimi grid as CSV"))
     p.add_argument("--out", required=True)
-    p.add_argument("--extent", type=float, help="half-width of the grid (default auto)")
-    p.add_argument("--points", type=int, default=101, help="grid points per axis")
+    p.add_argument(
+        "--extent", type=_bounded(float, 0.0, strict=True), help="half-width of the grid (default auto)"
+    )
+    p.add_argument("--points", type=_bounded(int, 2), default=101, help="grid points per axis")
 
     p = with_config(sub.add_parser("torotropy", help="export radial profiles and the measure"))
     p.add_argument("--out", help="CSV path (default stdout summary only)")
@@ -103,11 +117,7 @@ def _cmd_husimi(args) -> int:
     lab = redfield.solve(config).lab
     rho, _ = phasespace.reduce_resonator(lab)
     center = -config.system.lam * lab.occupation
-    if args.extent is not None:
-        extent = args.extent
-    else:
-        n_ph = float(np.sum(np.arange(rho.shape[0]) * np.diagonal(rho).real))
-        extent = 3.0 * (math.sqrt(max(n_ph, 0.0)) + 1.0)
+    extent = phasespace.auto_extent(rho) if args.extent is None else args.extent
     axis = np.linspace(center - extent, center + extent, args.points)
     imag_axis = np.linspace(-extent, extent, args.points)
     grid_re, grid_im = np.meshgrid(axis, imag_axis, indexing="ij")

@@ -11,13 +11,25 @@ strings applied before the objects are built.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .model import LeadParams, ModelConfig, SystemParams
 
 SWEEP_AXES = ("mu_tilde", "delta_mu", "lam")
 OUTPUT_GROUPS = ("transport", "thermo", "phasespace", "mode")
+
+
+def _schema(cls) -> tuple[tuple[str, type], ...]:
+    """(key, int or float) of each numeric field of a parameter dataclass, in field order."""
+    types = get_type_hints(cls)
+    return tuple((f.name, types[f.name]) for f in fields(cls) if f.name != "label")
+
+
+SYSTEM_SCHEMA = _schema(SystemParams)
+LEAD_SCHEMA = _schema(LeadParams)
+OPTIONAL_KEYS = {"chem_potential": 0.0}  # keys a config file may omit, with their values
 
 
 @dataclass(frozen=True)
@@ -57,10 +69,6 @@ class SweepSpec:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.axis1.count, self.axis2.count if self.axis2 else 1)
-
 
 class ConfigError(ValueError):
     pass
@@ -73,18 +81,15 @@ def _parse_axis(text: str) -> SweepAxis:
     return SweepAxis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
 
 
-def _require_float(sec: configparser.SectionProxy, key: str) -> float:
-    value = sec.getfloat(key)
-    if value is None:
-        raise ConfigError(f"[{sec.name}] missing key {key!r}")
-    return value
-
-
-def _require_int(sec: configparser.SectionProxy, key: str) -> int:
-    value = sec.getint(key)
-    if value is None:
-        raise ConfigError(f"[{sec.name}] missing key {key!r}")
-    return value
+def _read_section(sec: configparser.SectionProxy, schema: tuple[tuple[str, type], ...]) -> dict:
+    values = {}
+    for key, kind in schema:
+        read = sec.getint if kind is int else sec.getfloat
+        value = read(key, fallback=OPTIONAL_KEYS.get(key))
+        if value is None:
+            raise ConfigError(f"[{sec.name}] missing key {key!r}")
+        values[key] = value
+    return values
 
 
 def apply_overrides(parser: configparser.ConfigParser, overrides: list[str]) -> None:
@@ -94,10 +99,10 @@ def apply_overrides(parser: configparser.ConfigParser, overrides: list[str]) -> 
         key, value = item.split("=", 1)
         if "." not in key:
             raise ConfigError(f"override key must be dotted section.key, got {key!r}")
-        section, field = key.split(".", 1)
+        section, field = (part.strip() for part in key.split(".", 1))
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), field.strip(), value.strip())
+        parser.set(section, field, value.strip())
 
 
 def load_config(
@@ -110,24 +115,11 @@ def load_config(
     if overrides:
         apply_overrides(parser, overrides)
     try:
-        sys_sec = parser["system"]
-        system = SystemParams(
-            omega=_require_float(sys_sec, "omega"),
-            lam=_require_float(sys_sec, "lam"),
-            mu_tilde=_require_float(sys_sec, "mu_tilde"),
-            n_cut=_require_int(sys_sec, "n_cut"),
-        )
-        leads = {}
-        for label in ("L", "R"):
-            sec = parser[f"lead_{label}"]
-            leads[label] = LeadParams(
-                label=label,
-                gamma_rate=_require_float(sec, "gamma_rate"),
-                delta=_require_float(sec, "delta"),
-                gamma_center=_require_float(sec, "gamma_center"),
-                temperature=_require_float(sec, "temperature"),
-                chem_potential=sec.getfloat("chem_potential", fallback=0.0),
-            )
+        system = SystemParams(**_read_section(parser["system"], SYSTEM_SCHEMA))
+        leads = {
+            label: LeadParams(label=label, **_read_section(parser[f"lead_{label}"], LEAD_SCHEMA))
+            for label in ("L", "R")
+        }
         config = ModelConfig(system=system, lead_L=leads["L"], lead_R=leads["R"])
         if parser.has_option("bias", "delta_mu"):
             config = config.with_bias(parser.getfloat("bias", "delta_mu"))
@@ -156,41 +148,18 @@ def load_config(
 
 def config_to_dict(config: ModelConfig) -> dict:
     """Flat, picklable, json-able dump (also the CSV metadata echo)."""
-    out = {
-        "system.omega": config.system.omega,
-        "system.lam": config.system.lam,
-        "system.mu_tilde": config.system.mu_tilde,
-        "system.n_cut": config.system.n_cut,
-    }
+    out = {f"system.{key}": getattr(config.system, key) for key, _ in SYSTEM_SCHEMA}
     for lead in config.leads:
-        pre = f"lead_{lead.label}"
-        out[f"{pre}.gamma_rate"] = lead.gamma_rate
-        out[f"{pre}.delta"] = lead.delta
-        out[f"{pre}.gamma_center"] = lead.gamma_center
-        out[f"{pre}.temperature"] = lead.temperature
-        out[f"{pre}.chem_potential"] = lead.chem_potential
+        out.update({f"lead_{lead.label}.{key}": getattr(lead, key) for key, _ in LEAD_SCHEMA})
     return out
 
 
 def config_from_dict(data: dict) -> ModelConfig:
-    def lead(label: str) -> LeadParams:
-        pre = f"lead_{label}"
-        return LeadParams(
-            label=label,
-            gamma_rate=data[f"{pre}.gamma_rate"],
-            delta=data[f"{pre}.delta"],
-            gamma_center=data[f"{pre}.gamma_center"],
-            temperature=data[f"{pre}.temperature"],
-            chem_potential=data[f"{pre}.chem_potential"],
-        )
+    def values(section: str, schema: tuple[tuple[str, type], ...]) -> dict:
+        return {key: kind(data[f"{section}.{key}"]) for key, kind in schema}
 
     return ModelConfig(
-        system=SystemParams(
-            omega=data["system.omega"],
-            lam=data["system.lam"],
-            mu_tilde=data["system.mu_tilde"],
-            n_cut=int(data["system.n_cut"]),
-        ),
-        lead_L=lead("L"),
-        lead_R=lead("R"),
+        system=SystemParams(**values("system", SYSTEM_SCHEMA)),
+        lead_L=LeadParams(label="L", **values("lead_L", LEAD_SCHEMA)),
+        lead_R=LeadParams(label="R", **values("lead_R", LEAD_SCHEMA)),
     )

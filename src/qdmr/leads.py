@@ -23,6 +23,8 @@ from scipy.special import digamma, exp1
 
 from .model import LeadParams
 
+DECAY_THRESHOLD = 0.01  # fraction of |C(0)| below which the bath memory has decayed
+
 
 def fermi(energy, mu: float, temperature: float):
     """Fermi-Dirac occupation 1/(exp((E-mu)/T) + 1), overflow-safe.
@@ -84,12 +86,7 @@ class CorrelationTrace:
     converged: bool
 
 
-def bath_correlation(
-    lead: LeadParams,
-    times: np.ndarray | None = None,
-    *,
-    threshold: float = 0.01,
-) -> CorrelationTrace:
+def bath_correlation(lead: LeadParams, times: np.ndarray | None = None) -> CorrelationTrace:
     """Evaluate both bath correlators and estimate the memory time.
 
     The module docstring's pole sum: K = max(256, 16 max|z|) Matsubara poles
@@ -134,7 +131,7 @@ def bath_correlation(
     c_out[neg], c_in[neg] = np.conj(c_out[neg]), np.conj(c_in[neg])
 
     env = np.maximum(np.abs(c_out) / abs(c_out[0]), np.abs(c_in) / abs(c_in[0]))
-    above = np.nonzero(env >= threshold)[0]
+    above = np.nonzero(env >= DECAY_THRESHOLD)[0]
     if above.size == 0:
         decay_time, converged = float(times[0]), True
     elif above[-1] == times.size - 1:
@@ -144,5 +141,5 @@ def bath_correlation(
 
     return CorrelationTrace(
         label=lead.label, times=times, c_out=c_out, c_in=c_in,
-        threshold=threshold, decay_time=decay_time, converged=converged,
+        threshold=DECAY_THRESHOLD, decay_time=decay_time, converged=converged,
     )

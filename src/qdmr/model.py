@@ -130,32 +130,26 @@ class ModelConfig:
         return hashlib.sha256("|".join(parts).encode()).digest()[:16]
 
 
-def validate_regime(
-    config: ModelConfig,
-    *,
-    small_ratio: float = 0.25,
-    large_ratio: float = 5.0,
-) -> list[str]:
+def validate_regime(config: ModelConfig) -> list[str]:
     """Check the weak-coupling / wide-window conditions the master equation assumes.
 
     Returns a list of warning strings, one per violated condition; an
-    empty list means every condition holds with the given margins.  The
-    conditions are: tunneling much slower than thermal fluctuations
-    (gamma_rate < small_ratio * temperature), much slower than the
-    resonator (gamma_rate < small_ratio * omega), and a tunneling window
-    much wider than the rate (delta > large_ratio * gamma_rate).
+    empty list means every condition holds with these margins: tunneling
+    much slower than thermal fluctuations (gamma_rate < 0.25 * temperature),
+    much slower than the resonator (gamma_rate < 0.25 * omega), and a
+    tunneling window much wider than the rate (delta > 5 * gamma_rate).
     Violations are advisory only; results degrade gracefully.
     """
     warnings = []
     omega = config.system.omega
     for lead in config.leads:
         g = lead.gamma_rate
-        if g >= small_ratio * lead.temperature:
+        if g >= 0.25 * lead.temperature:
             warnings.append(
                 f"lead {lead.label}: gamma_rate={g:.4g} not small vs temperature={lead.temperature:.4g}"
             )
-        if g >= small_ratio * omega:
+        if g >= 0.25 * omega:
             warnings.append(f"lead {lead.label}: gamma_rate={g:.4g} not small vs omega={omega:.4g}")
-        if lead.delta <= large_ratio * g:
+        if lead.delta <= 5.0 * g:
             warnings.append(f"lead {lead.label}: window delta={lead.delta:.4g} not wide vs gamma_rate={g:.4g}")
     return warnings

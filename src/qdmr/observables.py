@@ -24,25 +24,10 @@ class UndefinedObservableError(ValueError):
     """Requested ratio is undefined at this operating point."""
 
 
-def occupation(state: BlockDensityMatrix) -> float:
-    return state.occupation
-
-
 def phonon_number(state: BlockDensityMatrix) -> float:
     """Mean phonon number; lab frame only (the polaron frame miscounts quanta)."""
     if state.frame != "lab":
         raise FrameError("phonon_number requires a lab-frame state")
-    return _mean_fock_index(state)
-
-
-def phonon_number_polaron(state: BlockDensityMatrix) -> float:
-    """Mean Fock index of the polaron-frame blocks; diagnostic only."""
-    if state.frame != "polaron":
-        raise FrameError("phonon_number_polaron requires a polaron-frame state")
-    return _mean_fock_index(state)
-
-
-def _mean_fock_index(state: BlockDensityMatrix) -> float:
     idx = np.arange(state.n_cut)
     return float(
         (idx * np.diagonal(state.rho0).real).sum() + (idx * np.diagonal(state.rho1).real).sum()
@@ -192,7 +177,6 @@ def build_report(
     tensors_r: RedfieldTensors,
     *,
     torotropy_value: float | None = None,
-    mode_tol: float | None = None,
 ) -> ThermoReport:
     """Assemble the full scalar report from a solved stationary state.
 
@@ -215,8 +199,7 @@ def build_report(
         n_ph = float("nan")
         zeta = float("nan")
 
-    tol = default_mode_tol(config) if mode_tol is None else mode_tol
-    mode = classify_mode(jel_l + jmec_l, jel_r + jmec_r, power, tol)
+    mode = classify_mode(jel_l + jmec_l, jel_r + jmec_r, power, default_mode_tol(config))
 
     eta_c = None
     if torotropy_value is not None and i_r != 0.0:

@@ -64,6 +64,12 @@ def husimi(rho_qmr: np.ndarray, alpha) -> np.ndarray | float:
     return q
 
 
+def auto_extent(rho_qmr: np.ndarray) -> float:
+    """Phase-space radius 3 (sqrt(<N_ph>) + 1) that holds the state's Husimi function."""
+    n_ph = float(np.sum(np.arange(rho_qmr.shape[0]) * np.diagonal(rho_qmr).real))
+    return 3.0 * (math.sqrt(max(n_ph, 0.0)) + 1.0)
+
+
 def barycenter(rho_qmr: np.ndarray) -> complex:
     """Exact phase-space mean tr(rho b) = sum_k sqrt(k) rho[k, k-1]."""
     n = rho_qmr.shape[0]
@@ -93,19 +99,17 @@ def radial_profile(
     *,
     dr: float = 0.02,
     r_max: float | None = None,
-    tail: float = 1e-10,
 ) -> RadialProfile:
     """Sample Q along center + r e^{i phi}, r >= 0, analytically at each point.
 
-    When ``r_max`` is omitted it starts at 3 (sqrt(<N_ph>) + 1) + |center|
-    and is extended until the raw Husimi value at the end of the ray
-    drops below ``tail``.
+    When ``r_max`` is omitted it starts at ``auto_extent`` + |center| and
+    is extended until the raw Husimi value at the end of the ray drops
+    below 1e-10.
     """
     if r_max is None:
-        n_ph = float(np.sum(np.arange(rho_qmr.shape[0]) * np.diagonal(rho_qmr).real))
-        r_max = 3.0 * (math.sqrt(max(n_ph, 0.0)) + 1.0) + abs(center)
+        r_max = auto_extent(rho_qmr) + abs(center)
         step = np.exp(1j * phi)
-        while husimi(rho_qmr, center + r_max * step) > tail and r_max < 60.0:
+        while husimi(rho_qmr, center + r_max * step) > 1e-10 and r_max < 60.0:
             r_max += 1.0
     radii = np.arange(0.0, r_max + 0.5 * dr, dr)
     q = husimi(rho_qmr, center + radii * np.exp(1j * phi))
@@ -151,9 +155,7 @@ def torotropy(
     state_lab: BlockDensityMatrix,
     lam: float,
     *,
-    angles: tuple[float, ...] | None = None,
     dr: float = 0.02,
-    r_max: float | None = None,
 ) -> TorotropyResult:
     """Self-oscillation measure of the lab-frame resonator state.
 
@@ -163,11 +165,9 @@ def torotropy(
     """
     rho, _ = reduce_resonator(state_lab)
     anchor = complex(-lam * state_lab.occupation)
-    if angles is None:
-        angles = default_angles(lam)
     per_angle = []
-    for phi in angles:
-        prof = radial_profile(rho, anchor, phi, dr=dr, r_max=r_max)
+    for phi in default_angles(lam):
+        prof = radial_profile(rho, anchor, phi, dr=dr)
         gap, s = profile_contribution(prof)
         per_angle.append((float(phi), gap / s, s))
     value = min(c for _, c, _ in per_angle)

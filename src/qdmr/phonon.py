@@ -36,11 +36,6 @@ def displacement_matrix(lam: float, n_cut: int) -> np.ndarray:
     return sign * np.exp(log_mag) * eval_genlaguerre(lo, diff, lam * lam)
 
 
-def lowering_operator(n_cut: int) -> np.ndarray:
-    """Matrix of b in the number basis: b[k-1, k] = sqrt(k)."""
-    return np.diag(np.sqrt(np.arange(1, n_cut)), k=1)
-
-
 def coherent_overlap(alpha: complex | np.ndarray, n_cut: int) -> np.ndarray:
     """Overlap vector c with c[..., k] = <k|alpha> = e^{-|alpha|^2/2} alpha^k / sqrt(k!).
 

@@ -3,9 +3,8 @@
 The state splits into two Fock-space blocks, rho0 (dot empty) and rho1
 (dot occupied); coherences between the two charge sectors decouple from
 the dynamics and are not represented.  Each lead contributes four
-transition tensors; they are never materialized at rank 4 in the
-production path.  Instead the factor matrices below are contracted into
-N^2 x N^2 superoperator blocks:
+transition tensors; they are never materialized at rank 4.  Instead the
+factor matrices below are contracted into N^2 x N^2 superoperator blocks:
 
     W_in[a, b]  = sum_i rate_in(eps[a, i]) D[i, a] D[i, b]
     W_out[a, b] = sum_i rate_out(eps[i, a]) D[a, i] D[b, i]
@@ -40,6 +39,7 @@ from .phonon import displacement_matrix
 
 
 MIN_EIG_FLOOR = -1e-8  # smallest block eigenvalue a stationary state may have
+RESIDUAL_RTOL = 1e-8  # largest max|L x| of a stationary state x, relative to the infinity norm of L
 
 
 class SteadyStateError(RuntimeError):
@@ -90,11 +90,7 @@ class BlockDensityMatrix:
 
 @dataclass(frozen=True)
 class RedfieldTensors:
-    """Per-lead transition tensors in factored form.
-
-    ``dense()`` materializes the four rank-4 tensors (index order
-    [j, m, k, l]); intended for small truncations and testing only.
-    """
+    """Per-lead transition tensors in factored form."""
 
     label: str
     n_cut: int
@@ -103,15 +99,6 @@ class RedfieldTensors:
     w_out: np.ndarray
     v_in: np.ndarray
     v_out: np.ndarray
-
-    def dense(self) -> dict[str, np.ndarray]:
-        eye = np.eye(self.n_cut)
-        d = self.displacement
-        r00 = 0.5 * (np.einsum("kj,ml->jmkl", self.w_in, eye) + np.einsum("lm,kj->jmkl", self.w_in, eye))
-        r01 = 0.5 * (np.einsum("jk,ml->jmkl", self.v_in, d) + np.einsum("jk,ml->jmkl", d, self.v_in))
-        r11 = 0.5 * (np.einsum("kj,ml->jmkl", self.w_out, eye) + np.einsum("lm,kj->jmkl", self.w_out, eye))
-        r10 = 0.5 * (np.einsum("jk,lm->jmkl", self.v_out, d) + np.einsum("kj,ml->jmkl", d, self.v_out))
-        return {"r00": r00, "r01": r01, "r11": r11, "r10": r10}
 
     # --- contractions used by the observable layer ---
 
@@ -178,12 +165,7 @@ class Liouvillian:
 
     matrix: np.ndarray
     n_cut: int
-    omega: float
     decoupled: bool
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def trace_vector(self) -> np.ndarray:
@@ -191,13 +173,6 @@ class Liouvillian:
         n = self.n_cut
         t_block = np.eye(n).reshape(-1)
         return np.concatenate([t_block, t_block]).astype(complex)
-
-    def apply(self, rho0: np.ndarray, rho1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Time derivative of the two blocks under the generator."""
-        n = self.n_cut
-        x = np.concatenate([rho0.reshape(-1), rho1.reshape(-1)])
-        y = self.matrix @ x
-        return y[: n * n].reshape(n, n), y[n * n :].reshape(n, n)
 
 
 def assemble_liouvillian(
@@ -231,56 +206,45 @@ def assemble_liouvillian(
     di = np.arange(nn)
     mat[di, di] += coherent
     mat[nn + di, nn + di] += coherent
-    return Liouvillian(matrix=mat, n_cut=n, omega=omega, decoupled=config.system.lam == 0.0)
+    return Liouvillian(matrix=mat, n_cut=n, decoupled=config.system.lam == 0.0)
 
 
 @dataclass(frozen=True)
 class SteadyStateInfo:
     residual: float
-    rel_residual: float
     norm_row: int
     method: str
     degenerate: bool
     min_eig: tuple[float, float]
 
 
-def _least_dominant_row(mat: np.ndarray, rows: np.ndarray) -> int:
-    dominance = 2.0 * np.abs(mat[rows, rows]) - np.abs(mat[rows]).sum(axis=1)
-    return int(rows[np.argmin(dominance)])
-
-
 def steady_state(
-    liou: Liouvillian,
-    *,
-    norm_row: int | None = None,
-    allow_degenerate: bool = False,
-    rel_tol: float = 1e-8,
+    liou: Liouvillian, *, allow_degenerate: bool = False
 ) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
     """Unique trace-one kernel vector of the generator.
 
-    Replaces one population row of the generator (the least diagonally
-    dominant one unless ``norm_row`` overrides it) with the trace
-    functional and solves the bordered system, which is nonsingular
-    whenever the kernel is one-dimensional.  A decoupled generator has an
-    N-dimensional kernel: that raises unless ``allow_degenerate``, which
-    returns the representative with flat Fock populations, rho0 = (1-p1) I/N
-    and rho1 = p1 I/N, where p1 = gamma_in / (gamma_in + gamma_out) and the
-    two total dot rates are read off the generator diagonal.
+    Replaces the least diagonally dominant population row of the generator
+    with the trace functional and solves the bordered system, which is
+    nonsingular whenever the kernel is one-dimensional.  A decoupled
+    generator has an N-dimensional kernel: that raises unless
+    ``allow_degenerate``, which returns the representative with flat Fock
+    populations, rho0 = (1-p1) I/N and rho1 = p1 I/N, where
+    p1 = gamma_in / (gamma_in + gamma_out) and the two total dot rates are
+    read off the generator diagonal.
 
     A state whose smallest block eigenvalue lies below ``MIN_EIG_FLOOR``
     raises: a numerically degenerate generator (0 < lam <= 1e-8) passes
     the residual gate with a state far from positive.
     """
     mat = liou.matrix
-    dim = liou.dim
+    dim = mat.shape[0]
     n = liou.n_cut
     nn = n * n
     t = liou.trace_vector
-    norm_l = float(np.abs(mat).sum(axis=1).max())
-    gate = rel_tol * norm_l
-    row = _least_dominant_row(mat, np.flatnonzero(t)) if norm_row is None else int(norm_row)
-    if t[row] == 0:
-        raise ValueError(f"norm_row {row} is not a population row")
+    gate = RESIDUAL_RTOL * float(np.abs(mat).sum(axis=1).max())
+    rows = np.flatnonzero(t)
+    dominance = 2.0 * np.abs(mat[rows, rows]) - np.abs(mat[rows]).sum(axis=1)
+    row = int(rows[np.argmin(dominance)])
 
     if liou.decoupled:
         if not allow_degenerate:
@@ -331,7 +295,6 @@ def steady_state(
         )
     info = SteadyStateInfo(
         residual=residual,
-        rel_residual=residual / norm_l if norm_l > 0 else residual,
         norm_row=row,
         method=method,
         degenerate=liou.decoupled,

@@ -6,7 +6,8 @@ machine- or schedule-dependent, and every point is evaluated in a
 spawned single-threaded worker process regardless of the worker count,
 so the same sweep produces byte-identical files with 1 or 8 workers.
 Completed points are journaled as JSON lines next to the output file;
-an interrupted sweep picks up where it left off with ``resume=True``.
+an interrupted sweep picks up where it left off with ``resume=True``,
+recomputing a point whose journal line a kill cut short.
 """
 
 from __future__ import annotations
@@ -57,10 +58,8 @@ _GROUP_COLUMNS = {
 
 
 def apply_axis(config: ModelConfig, name: str, value: float) -> ModelConfig:
-    if name == "mu_tilde":
-        return replace(config, system=replace(config.system, mu_tilde=value))
-    if name == "lam":
-        return replace(config, system=replace(config.system, lam=value))
+    if name in ("mu_tilde", "lam"):
+        return replace(config, system=replace(config.system, **{name: value}))
     if name == "delta_mu":
         return config.with_bias(value)
     raise ValueError(f"unknown sweep axis {name!r}")
@@ -260,27 +259,31 @@ def run_sweep(
     out_path = Path(out_path)
     journal_path = out_path.with_name(out_path.name + ".journal")
     workers = spec.workers if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     signature = _sweep_signature(config, spec)
     points = _point_assignments(spec)
 
     done: dict[int, dict] = {}
+    journaled: list[str] = []
     if resume and journal_path.exists():
-        with open(journal_path) as fh:
-            first = fh.readline()
-            if first and json.loads(first).get("signature") != signature:
-                raise ValueError("journal does not match this sweep; remove it or drop --resume")
-            for line in fh:
-                if line.strip():
-                    entry = json.loads(line)
-                    done[entry["index"]] = entry["row"]
+        data = journal_path.read_bytes()
+        complete = data.rfind(b"\n") + 1  # a last line without its newline was cut short
+        journaled = data[:complete].decode().splitlines()
+        if journaled and json.loads(journaled[0]).get("signature") != signature:
+            raise ValueError("journal does not match this sweep; remove it or drop --resume")
+        for line in journaled[1:]:
+            if line.strip():
+                entry = json.loads(line)
+                done[entry["index"]] = entry["row"]
+        os.truncate(journal_path, complete)  # its point is computed again
 
     pending = [(i, a) for i, a in points if i not in done]
     config_data = config_to_dict(config)
     tasks = [(i, config_data, a, list(spec.outputs), spec.n_cut_policy) for i, a in pending]
 
-    mode = "a" if (resume and journal_path.exists()) else "w"
-    with open(journal_path, mode) as journal:
-        if mode == "w":
+    with open(journal_path, "a" if journaled else "w") as journal:
+        if not journaled:
             journal.write(json.dumps({"signature": signature}) + "\n")
             journal.flush()
         if tasks:

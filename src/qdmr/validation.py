@@ -22,10 +22,9 @@ def reference_config(
     lam: float = 0.7,
     delta_t_mk: float = 0.0,
     n_cut: int = 30,
-    gamma_cycles: float = 0.2,
 ) -> ModelConfig:
     """The anchored two-lead configuration (temperatures given via ``delta_t_mk``)."""
-    g = angular_ghz(gamma_cycles)
+    g = angular_ghz(0.2)
     return ModelConfig(
         system=SystemParams(omega=angular_ghz(1.0), lam=lam, mu_tilde=mu_tilde, n_cut=n_cut),
         lead_L=LeadParams(

@@ -129,6 +129,30 @@ class TestSweep:
         assert out.exists()
 
 
+class TestInvalidSizes:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("sweep", "--workers", "0"),
+            ("husimi", "--points", "-1"),
+            ("husimi", "--points", "0"),
+            ("husimi", "--points", "1"),
+            ("husimi", "--extent", "0"),
+            ("husimi", "--extent", "-1"),
+        ],
+    )
+    def test_rejected_with_usage_and_no_output(self, command, flag, value, sweep_ini, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", sweep_ini, "--out", str(out), flag, value])
+        assert err.value.code == 1
+        message = capsys.readouterr().err
+        assert message.startswith(f"usage: qdmr {command}")
+        assert f"argument {flag}" in message
+        assert not out.exists()
+        assert not out.with_name(out.name + ".journal").exists()
+
+
 class TestHusimi:
     def test_grid_export(self, ini, tmp_path, capsys):
         out = tmp_path / "q.csv"

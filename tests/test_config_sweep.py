@@ -1,5 +1,6 @@
 """Configuration files, axis plumbing, point evaluation, and sweep output."""
 
+import configparser
 import csv
 import json
 import math
@@ -13,6 +14,7 @@ from qdmr.configfile import (
     ConfigError,
     SweepAxis,
     SweepSpec,
+    apply_overrides,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -101,6 +103,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(ini_path, overrides=["system.mu_tilde:4.5"])
 
+    def test_override_section_is_stripped_before_lookup(self, ini_path):
+        config, _ = load_config(ini_path, ["bias .delta_mu=3", "newsec .x=1"])
+        assert config.delta_mu == 3.0
+        parser = configparser.ConfigParser()
+        parser.read_string("[bias]\ndelta_mu = 1\n")
+        apply_overrides(parser, ["bias .delta_mu=3", "newsec .x=1"])
+        assert parser.sections() == ["bias", "newsec"]
+        assert parser.get("bias", "delta_mu") == "3"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
@@ -134,7 +145,6 @@ class TestConfigFile:
         assert spec.axis2 == SweepAxis("delta_mu", -10.0, 10.0, 2)
         assert spec.outputs == ("transport", "thermo", "phasespace", "mode")
         assert spec.n_cut_policy == "fixed"
-        assert spec.shape == (3, 2)
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -378,6 +388,40 @@ class TestRunSweep:
         run_sweep(config, spec, resumed, resume=True)
         assert resumed.read_bytes() == fresh.read_bytes()
         assert not journal.exists()
+
+    def test_resume_recomputes_a_journal_line_cut_short(self, tmp_path):
+        config = make_config(lam=0.7, n_cut=8)
+        spec = _small_spec(axis2=None)
+        fresh = tmp_path / "fresh.csv"
+        run_sweep(config, spec, fresh)
+
+        task = (0, config_to_dict(config), {"mu_tilde": -2.0}, list(spec.outputs), spec.n_cut_policy)
+        with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
+            index, row = pool.submit(sweep._evaluate_task, task).result()
+        resumed = tmp_path / "resumed.csv"
+        journal = resumed.with_name(resumed.name + ".journal")
+        with open(journal, "w") as fh:
+            fh.write(json.dumps({"signature": sweep._sweep_signature(config, spec)}) + "\n")
+            fh.write(json.dumps({"index": index, "row": row}) + "\n")
+            fh.write('{"index": 1, "row": {"mu_tilde": 0.0, "sta')  # killed mid-write
+        run_sweep(config, spec, resumed, resume=True)
+        assert resumed.read_bytes() == fresh.read_bytes()
+
+    def test_resume_rejects_a_malformed_complete_line(self, tmp_path):
+        config = make_config(lam=0.7, n_cut=8)
+        spec = _small_spec(axis2=None)
+        out = tmp_path / "broken.csv"
+        journal = out.with_name(out.name + ".journal")
+        text = json.dumps({"signature": sweep._sweep_signature(config, spec)}) + "\n"
+        journal.write_text(text + '{"index": 0, "row": {"mu_tilde": -2.0, "sta\n')
+        with pytest.raises(json.JSONDecodeError):
+            run_sweep(config, spec, out, resume=True)
+
+    def test_zero_workers_rejected_before_the_journal_opens(self, tmp_path):
+        out = tmp_path / "none.csv"
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(make_config(n_cut=8), _small_spec(axis2=None), out, workers=0)
+        assert not out.with_name(out.name + ".journal").exists()
 
     def test_resume_does_not_recompute_journaled_points(self, tmp_path):
         config = make_config(lam=0.7, n_cut=8)

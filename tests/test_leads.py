@@ -158,13 +158,13 @@ class TestBathCorrelation:
         assert 0.0 < trace.decay_time < 1.0
 
     def test_envelope_respects_threshold_past_decay_time(self):
-        trace = bath_correlation(make_config().lead_R, threshold=0.02)
+        trace = bath_correlation(make_config().lead_R)
         env = np.maximum(
             np.abs(trace.c_out) / abs(trace.c_out[0]),
             np.abs(trace.c_in) / abs(trace.c_in[0]),
         )
         past = trace.times >= trace.decay_time
-        assert np.all(env[past] < 0.02)
+        assert np.all(env[past] < trace.threshold)
 
     def test_custom_time_grid_is_respected(self):
         times = np.linspace(0.0, 3.0, 91)

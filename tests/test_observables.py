@@ -14,7 +14,6 @@ from qdmr.observables import (
     mechanical_heat,
     particle_current,
     phonon_number,
-    phonon_number_polaron,
     total_power,
     zeta_witness,
 )
@@ -98,8 +97,6 @@ class TestPhononNumber:
         _, _, state, lab, _ = solve_point(config)
         with pytest.raises(FrameError):
             phonon_number(state)
-        with pytest.raises(FrameError):
-            phonon_number_polaron(lab)
         assert phonon_number(lab) >= 0.0
 
     def test_zeta_witness_formula(self):

@@ -1,9 +1,9 @@
-"""Fock-space displacement, lowering and coherent-overlap algebra."""
+"""Fock-space displacement and coherent-overlap algebra."""
 
 import numpy as np
 import pytest
 
-from qdmr.phonon import coherent_overlap, displacement_matrix, lowering_operator
+from qdmr.phonon import coherent_overlap, displacement_matrix
 
 from oracles import coherent_vector, displacement_expm
 
@@ -38,19 +38,6 @@ class TestDisplacementMatrix:
     def test_rejects_empty_space(self):
         with pytest.raises(ValueError):
             displacement_matrix(0.5, 0)
-
-
-class TestLoweringOperator:
-    def test_matrix_elements(self):
-        b = lowering_operator(5)
-        expected = np.zeros((5, 5))
-        for k in range(1, 5):
-            expected[k - 1, k] = np.sqrt(k)
-        np.testing.assert_array_equal(b, expected)
-
-    def test_number_operator_from_product(self):
-        b = lowering_operator(8)
-        np.testing.assert_allclose(np.diag(b.T @ b), np.arange(8), atol=1e-14)
 
 
 class TestCoherentOverlap:
