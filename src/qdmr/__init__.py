@@ -9,7 +9,6 @@ the torotropy self-oscillation measure.
 from .model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk, mk_from_ghz
 from .redfield import (
     BlockDensityMatrix,
-    DegenerateSteadyStateError,
     Liouvillian,
     RedfieldTensors,
     Solution,
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockDensityMatrix",
-    "DegenerateSteadyStateError",
     "LeadParams",
     "Liouvillian",
     "ModelConfig",

@@ -112,9 +112,24 @@ def _csv_line(*cells) -> str:
     return ",".join(sweep._format_cell(c) for c in cells) + "\n"
 
 
-def _cmd_husimi(args) -> int:
+def _solve_lab(args) -> tuple:
+    """Config and lab-frame state of a phonon export; the state is None, after a
+    message, at lam = 0, where the decoupled resonator has no unique state."""
     config, _ = _load(args)
     lab = redfield.solve(config).lab
+    if lab is None:
+        print(
+            f"qdmr {args.command}: lam = 0 decouples the resonator, so it has no unique "
+            "phonon state to export; only dot-sector outputs (qdmr point) are defined there",
+            file=sys.stderr,
+        )
+    return config, lab
+
+
+def _cmd_husimi(args) -> int:
+    config, lab = _solve_lab(args)
+    if lab is None:
+        return 2
     rho, _ = phasespace.reduce_resonator(lab)
     center = -config.system.lam * lab.occupation
     extent = phasespace.auto_extent(rho) if args.extent is None else args.extent
@@ -133,8 +148,9 @@ def _cmd_husimi(args) -> int:
 
 
 def _cmd_torotropy(args) -> int:
-    config, _ = _load(args)
-    lab = redfield.solve(config).lab
+    config, lab = _solve_lab(args)
+    if lab is None:
+        return 2
     result = phasespace.torotropy(lab, config.system.lam)
     print(f"torotropy = {result.value!r}")
     print(f"anchor = {result.anchor.real!r}{result.anchor.imag:+}j")
@@ -203,13 +219,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except redfield.DegenerateSteadyStateError:
-        print(
-            f"qdmr {args.command}: lam = 0 decouples the resonator, so it has no unique "
-            "phonon state to export; only dot-sector outputs (qdmr point) are defined there",
-            file=sys.stderr,
-        )
-        return 2
     except redfield.SteadyStateError as exc:
         print(f"qdmr: {exc}", file=sys.stderr)
         return 2

@@ -109,7 +109,10 @@ def load_config(
     path: str | Path, overrides: list[str] | None = None
 ) -> tuple[ModelConfig, SweepSpec | None]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # no section header, a repeated key, a line not key = value
+        raise ConfigError(f"bad config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if overrides:
@@ -123,7 +126,7 @@ def load_config(
         config = ModelConfig(system=system, lead_L=leads["L"], lead_R=leads["R"])
         if parser.has_option("bias", "delta_mu"):
             config = config.with_bias(parser.getfloat("bias", "delta_mu"))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, configparser.Error) as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
 
     sweep = None
@@ -147,19 +150,9 @@ def load_config(
 
 
 def config_to_dict(config: ModelConfig) -> dict:
-    """Flat, picklable, json-able dump (also the CSV metadata echo)."""
+    """Flat ``section.key`` dump of every parameter (the CSV metadata echo)."""
     out = {f"system.{key}": getattr(config.system, key) for key, _ in SYSTEM_SCHEMA}
     for lead in config.leads:
         out.update({f"lead_{lead.label}.{key}": getattr(lead, key) for key, _ in LEAD_SCHEMA})
     return out
 
-
-def config_from_dict(data: dict) -> ModelConfig:
-    def values(section: str, schema: tuple[tuple[str, type], ...]) -> dict:
-        return {key: kind(data[f"{section}.{key}"]) for key, kind in schema}
-
-    return ModelConfig(
-        system=SystemParams(**values("system", SYSTEM_SCHEMA)),
-        lead_L=LeadParams(label="L", **values("lead_L", LEAD_SCHEMA)),
-        lead_R=LeadParams(label="R", **values("lead_R", LEAD_SCHEMA)),
-    )

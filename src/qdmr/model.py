@@ -9,9 +9,8 @@ convert through k_B/hbar, see :func:`ghz_from_mk` (100 mK ~ 13.09 GHz).
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 # k_B / hbar expressed in (10^9 rad/s) per mK
 KB_OVER_HBAR_GHZ_PER_MK = 1.380649e-23 / 1.054571817e-34 / 1e12
@@ -86,6 +85,12 @@ class ModelConfig:
     lead_R: LeadParams
 
     def __post_init__(self) -> None:
+        for section in ("system", "lead_L", "lead_R"):
+            params = getattr(self, section)
+            for f in fields(params):
+                value = getattr(params, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{section}.{f.name} must be finite, got {value!r}")
         s = self.system
         if not (s.omega > 0):
             raise ValueError("omega must be positive")
@@ -116,18 +121,6 @@ class ModelConfig:
             lead_L=replace(self.lead_L, chem_potential=+0.5 * delta_mu),
             lead_R=replace(self.lead_R, chem_potential=-0.5 * delta_mu),
         )
-
-    def config_hash(self) -> bytes:
-        """16-byte digest of the full parameter set (used in binary dumps)."""
-        parts = []
-        for lead in self.leads:
-            parts.append(
-                f"{lead.label};{lead.gamma_rate!r};{lead.delta!r};{lead.gamma_center!r};"
-                f"{lead.temperature!r};{lead.chem_potential!r}"
-            )
-        s = self.system
-        parts.append(f"{s.omega!r};{s.lam!r};{s.mu_tilde!r};{s.n_cut}")
-        return hashlib.sha256("|".join(parts).encode()).digest()[:16]
 
 
 def validate_regime(config: ModelConfig) -> list[str]:

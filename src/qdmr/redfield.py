@@ -25,10 +25,8 @@ plus the coherent part -i*omega*(j - m) on each block's element (j, m).
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -44,10 +42,6 @@ RESIDUAL_RTOL = 1e-8  # largest max|L x| of a stationary state x, relative to th
 
 class SteadyStateError(RuntimeError):
     """Steady-state solve failed to meet the residual or positivity gate."""
-
-
-class DegenerateSteadyStateError(SteadyStateError):
-    """The stationary state is not unique (null space dimension > 1)."""
 
 
 class FrameError(ValueError):
@@ -213,24 +207,22 @@ def assemble_liouvillian(
 class SteadyStateInfo:
     residual: float
     norm_row: int
-    method: str
-    degenerate: bool
+    method: str  # "lu", or "decoupled" for the closed-form lam = 0 state
     min_eig: tuple[float, float]
 
 
-def steady_state(
-    liou: Liouvillian, *, allow_degenerate: bool = False
-) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
-    """Unique trace-one kernel vector of the generator.
+def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
+    """Trace-one kernel vector of the generator.
 
     Replaces the least diagonally dominant population row of the generator
     with the trace functional and solves the bordered system, which is
     nonsingular whenever the kernel is one-dimensional.  A decoupled
-    generator has an N-dimensional kernel: that raises unless
-    ``allow_degenerate``, which returns the representative with flat Fock
-    populations, rho0 = (1-p1) I/N and rho1 = p1 I/N, where
+    generator has an N-dimensional kernel, so its phonon sector is not
+    unique; it returns, with method "decoupled", the representative with
+    flat Fock populations, rho0 = (1-p1) I/N and rho1 = p1 I/N, where
     p1 = gamma_in / (gamma_in + gamma_out) and the two total dot rates are
-    read off the generator diagonal.
+    read off the generator diagonal.  Only its dot-sector observables
+    are defined.
 
     A state whose smallest block eigenvalue lies below ``MIN_EIG_FLOOR``
     raises: a numerically degenerate generator (0 < lam <= 1e-8) passes
@@ -247,11 +239,6 @@ def steady_state(
     row = int(rows[np.argmin(dominance)])
 
     if liou.decoupled:
-        if not allow_degenerate:
-            raise DegenerateSteadyStateError(
-                "stationary state is not unique; pass allow_degenerate=True "
-                "to accept one representative (dot-sector observables remain valid)"
-            )
         gamma_in, gamma_out = -mat[0, 0].real, -mat[nn, nn].real
         p1 = gamma_in / (gamma_in + gamma_out)
         flat = np.eye(n, dtype=complex).reshape(-1) / n
@@ -297,7 +284,6 @@ def steady_state(
         residual=residual,
         norm_row=row,
         method=method,
-        degenerate=liou.decoupled,
         min_eig=min_eig,
     )
     return BlockDensityMatrix(rho0=rho0, rho1=rho1, frame="polaron"), info
@@ -316,7 +302,8 @@ def to_lab_frame(state: BlockDensityMatrix, displacement: np.ndarray) -> BlockDe
 
 @dataclass(frozen=True)
 class Solution:
-    """One solved operating point; ``lab`` is None when the state is degenerate."""
+    """One solved operating point; ``lab`` is None exactly when the generator is
+    decoupled (lam = 0), whose phonon sector is not unique."""
 
     tensors: tuple[RedfieldTensors, RedfieldTensors]  # (L, R)
     polaron: BlockDensityMatrix
@@ -324,37 +311,11 @@ class Solution:
     info: SteadyStateInfo
 
 
-def solve(config: ModelConfig, *, allow_degenerate: bool = False) -> Solution:
+def solve(config: ModelConfig) -> Solution:
     """Tensors, generator, stationary state and lab frame of one operating point."""
     tensors = (build_tensors(config, config.lead_L), build_tensors(config, config.lead_R))
     liou = assemble_liouvillian(config, tensors)
-    state, info = steady_state(liou, allow_degenerate=allow_degenerate)
-    lab = None if info.degenerate else to_lab_frame(state, tensors[0].displacement)
+    state, info = steady_state(liou)
+    lab = None if info.method == "decoupled" else to_lab_frame(state, tensors[0].displacement)
     return Solution(tensors=tensors, polaron=state, lab=lab, info=info)
 
-
-_MAGIC = b"QDMRNES1"
-_FRAME_TAGS = {"polaron": 0, "lab": 1}
-_FRAME_NAMES = {v: k for k, v in _FRAME_TAGS.items()}
-
-
-def save_state(path: str | Path, state: BlockDensityMatrix, config_hash: bytes) -> None:
-    """Binary dump: 32-byte header (magic, N, frame, config hash), then both blocks."""
-    if len(config_hash) != 16:
-        raise ValueError("config_hash must be 16 bytes")
-    header = struct.pack("<8sII16s", _MAGIC, state.n_cut, _FRAME_TAGS[state.frame], config_hash)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(state.rho0, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(state.rho1, dtype="<c16").tobytes())
-
-
-def load_state(path: str | Path) -> tuple[BlockDensityMatrix, bytes]:
-    with open(path, "rb") as fh:
-        magic, n, tag, config_hash = struct.unpack("<8sII16s", fh.read(32))
-        if magic != _MAGIC:
-            raise ValueError("not a block-state dump")
-        block = n * n * 16
-        rho0 = np.frombuffer(fh.read(block), dtype="<c16").reshape(n, n).astype(complex)
-        rho1 = np.frombuffer(fh.read(block), dtype="<c16").reshape(n, n).astype(complex)
-    return BlockDensityMatrix(rho0=rho0, rho1=rho1, frame=_FRAME_NAMES[tag]), config_hash

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, observables, phasespace, redfield
-from .configfile import SweepSpec, config_from_dict, config_to_dict
+from .configfile import SweepSpec, config_to_dict
 from .model import ModelConfig
 
 ADAPTIVE_START = 20
@@ -104,14 +104,13 @@ class PointResult:
 
 
 def _solve_point(config: ModelConfig, outputs: tuple[str, ...]) -> PointResult:
-    lam = config.system.lam
-    sol = redfield.solve(config, allow_degenerate=(lam == 0.0))
+    sol = redfield.solve(config)
     lab = sol.lab
 
     tq_result = None
     ergo = None
     if "phasespace" in outputs and lab is not None:
-        tq_result = phasespace.torotropy(lab, lam)
+        tq_result = phasespace.torotropy(lab, config.system.lam)
         rho_qmr, _ = phasespace.reduce_resonator(lab)
         ergo = phasespace.ergotropy(rho_qmr, config.system.omega)
 
@@ -120,7 +119,7 @@ def _solve_point(config: ModelConfig, outputs: tuple[str, ...]) -> PointResult:
         torotropy_value=tq_result.value if tq_result else None,
     )
     return PointResult(
-        status="degenerate" if sol.info.degenerate else "ok",
+        status="degenerate" if lab is None else "ok",
         n_cut=config.system.n_cut,
         residual=sol.info.residual,
         min_eig=min(sol.info.min_eig),
@@ -228,14 +227,14 @@ def _point_assignments(spec: SweepSpec) -> list[tuple[int, dict[str, float]]]:
 
 
 def _evaluate_task(args: tuple) -> tuple[int, dict]:
-    index, config_data, assign, outputs, n_cut_policy = args
+    index, config, assign, outputs, n_cut_policy = args
     try:
-        config = config_from_dict(config_data)
+        point = config
         for name, value in assign.items():
-            config = apply_axis(config, name, value)
-        result = run_point(config, tuple(outputs), n_cut_policy=n_cut_policy)
+            point = apply_axis(point, name, value)
+        result = run_point(point, tuple(outputs), n_cut_policy=n_cut_policy)
     except Exception as exc:  # invalid point, recorded like a solver failure
-        result = _failed(int(config_data["system.n_cut"]), exc)
+        result = _failed(config.system.n_cut, exc)
     row = dict(assign)
     row.update(result.row(tuple(outputs)))
     return index, row
@@ -279,8 +278,7 @@ def run_sweep(
         os.truncate(journal_path, complete)  # its point is computed again
 
     pending = [(i, a) for i, a in points if i not in done]
-    config_data = config_to_dict(config)
-    tasks = [(i, config_data, a, list(spec.outputs), spec.n_cut_policy) for i, a in pending]
+    tasks = [(i, config, a, list(spec.outputs), spec.n_cut_policy) for i, a in pending]
 
     with open(journal_path, "a" if journaled else "w") as journal:
         if not journaled:

@@ -66,7 +66,7 @@ def validate_oracle() -> dict:
     checks = []
     for mu_tilde in np.linspace(-60.0, 60.0, 21):
         config = reference_config(delta_mu=-50.0, mu_tilde=float(mu_tilde), lam=0.0, n_cut=6)
-        sol = redfield.solve(config, allow_degenerate=True)
+        sol = redfield.solve(config)
         i_r = observables.particle_current(sol.tensors[1], sol.polaron)
         expected = two_state_current(config)
         rel = abs(i_r - expected) / abs(expected)

@@ -48,9 +48,9 @@ def make_config(
     return ModelConfig(system=system, lead_L=lead_l, lead_R=lead_r)
 
 
-def solve_point(config: ModelConfig, *, allow_degenerate: bool = False):
-    """One full solve: (tensors_l, tensors_r, polaron, lab, info); lab is None when degenerate."""
-    sol = solve(config, allow_degenerate=allow_degenerate)
+def solve_point(config: ModelConfig):
+    """One full solve: (tensors_l, tensors_r, polaron, lab, info); lab is None at lam = 0."""
+    sol = solve(config)
     return (*sol.tensors, sol.polaron, sol.lab, sol.info)
 
 

@@ -72,7 +72,7 @@ def test_criterion_01_zero_coupling_current_oracle():
         config = make_config(
             lam=0.0, mu_tilde=float(mu_tilde), delta_mu=-50.0, n_cut=6
         )
-        _, tensors_r, state, _, _ = solve_point(config, allow_degenerate=True)
+        _, tensors_r, state, _, _ = solve_point(config)
         current = particle_current(tensors_r, state)
         expected = rate_equation_current(
             config.system.mu_tilde, config.lead_L, config.lead_R
@@ -124,7 +124,7 @@ def test_criterion_03_mechanical_heat_vanishes_at_zero_coupling():
             t_right_mk=float(rng.uniform(60.0, 100.0)),
             n_cut=8,
         )
-        tensors_l, tensors_r, state, _, _ = solve_point(config, allow_degenerate=True)
+        tensors_l, tensors_r, state, _, _ = solve_point(config)
         i_l = particle_current(tensors_l, state)
         i_r = particle_current(tensors_r, state)
         worst = max(

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,50 @@ class TestInvalidSizes:
         assert f"argument {flag}" in message
         assert not out.exists()
         assert not out.with_name(out.name + ".journal").exists()
+
+
+MALFORMED_INI = {
+    "line_before_first_section": "omega = 6.28\n" + BASE_INI,
+    "repeated_key": BASE_INI.replace("lam = 0.7\n", "lam = 0.7\nlam = 0.9\n"),
+    "line_not_key_value": BASE_INI.replace("lam = 0.7\n", "lam = 0.7\nthis is not a setting\n"),
+    "bad_interpolation": BASE_INI.replace("lam = 0.7", "lam = %(coupling)s"),
+}
+
+NUMERIC_KEYS = [
+    "system.omega", "system.lam", "system.mu_tilde",
+    "lead_L.gamma_rate", "lead_L.delta", "lead_L.gamma_center",
+    "lead_L.temperature", "lead_L.chem_potential", "bias.delta_mu",
+]
+
+
+class TestBadConfig:
+    """A config that cannot be read or holds an invalid number is a usage
+    error: one ``qdmr:`` line on stderr, exit 1, no traceback."""
+
+    def _assert_usage_error(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would mean the value reached the solver
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("qdmr: bad config file ")
+        return lines[0]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_INI))
+    def test_malformed_file(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(MALFORMED_INI[name])
+        self._assert_usage_error(["point", "--config", str(path)], capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_non_finite_value(self, key, value, ini, capsys):
+        line = self._assert_usage_error(["point", "--config", ini, "--set", f"{key}={value}"], capsys)
+        assert "must be finite" in line
 
 
 class TestHusimi:

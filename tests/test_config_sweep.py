@@ -4,6 +4,7 @@ import configparser
 import csv
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
@@ -11,11 +12,11 @@ import pytest
 
 from qdmr import sweep
 from qdmr.configfile import (
+    SWEEP_AXES,
     ConfigError,
     SweepAxis,
     SweepSpec,
     apply_overrides,
-    config_from_dict,
     config_to_dict,
     load_config,
 )
@@ -166,9 +167,16 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             SweepSpec(axis1=axis, workers=0)
 
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, tmp_path):
+        # config_to_dict written as INI lines reads back as the same config
         config = make_config(mu_tilde=-3.0, delta_mu=24.0, lam=0.9, n_cut=14)
-        assert config_from_dict(config_to_dict(config)) == config
+        sections = {}
+        for dotted, value in config_to_dict(config).items():
+            section, key = dotted.split(".")
+            sections.setdefault(section, []).append(f"{key} = {value!r}")
+        path = tmp_path / "round.ini"
+        path.write_text("".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()))
+        assert load_config(path) == (config, None)
 
 
 class TestApplyAxis:
@@ -216,6 +224,16 @@ class TestRunPoint:
         assert math.isnan(row["torotropy"])
         assert math.isnan(row["phonon_number"])
         assert not math.isnan(row["current_R"])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_non_finite_axis_value_is_an_error_row(self, axis, value):
+        task = (0, make_config(n_cut=6), {axis: value}, ["transport"], "fixed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic
+            _, row = sweep._evaluate_task(task)
+        assert row["status"] == "error:ValueError"
+        assert row["n_cut"] == 6
 
     @pytest.mark.parametrize("lam", [1e-12, 1e-10, 1e-9, 1e-8])
     def test_numerically_degenerate_coupling_fails_positivity_gate(self, lam):
@@ -370,9 +388,8 @@ class TestRunSweep:
 
         # compute the first three rows exactly as a worker would
         points = sweep._point_assignments(spec)
-        config_data = config_to_dict(config)
         tasks = [
-            (i, config_data, assign, list(spec.outputs), spec.n_cut_policy)
+            (i, config, assign, list(spec.outputs), spec.n_cut_policy)
             for i, assign in points[:3]
         ]
         ctx = get_context("spawn")
@@ -395,7 +412,7 @@ class TestRunSweep:
         fresh = tmp_path / "fresh.csv"
         run_sweep(config, spec, fresh)
 
-        task = (0, config_to_dict(config), {"mu_tilde": -2.0}, list(spec.outputs), spec.n_cut_policy)
+        task = (0, config, {"mu_tilde": -2.0}, list(spec.outputs), spec.n_cut_policy)
         with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
             index, row = pool.submit(sweep._evaluate_task, task).result()
         resumed = tmp_path / "resumed.csv"

@@ -26,7 +26,7 @@ from oracles import rate_equation_current
 class TestParticleCurrent:
     def test_zero_coupling_matches_rate_equation(self):
         config = make_config(lam=0.0, mu_tilde=4.0, delta_mu=18.0, n_cut=6)
-        tensors_l, tensors_r, state, _, _ = solve_point(config, allow_degenerate=True)
+        tensors_l, tensors_r, state, _, _ = solve_point(config)
         expected = rate_equation_current(
             config.system.mu_tilde, config.lead_L, config.lead_R
         )
@@ -63,7 +63,7 @@ class TestHeatAndPower:
 
     def test_mechanical_heat_vanishes_identically_at_zero_coupling(self):
         config = make_config(lam=0.0, mu_tilde=1.0, delta_mu=22.0, n_cut=6)
-        tensors_l, tensors_r, state, _, _ = solve_point(config, allow_degenerate=True)
+        tensors_l, tensors_r, state, _, _ = solve_point(config)
         i_l = particle_current(tensors_l, state)
         i_r = particle_current(tensors_r, state)
         assert mechanical_heat(config, tensors_l, state, i_l) == 0.0
@@ -192,7 +192,7 @@ class TestBuildReport:
 
     def test_report_without_lab_state_uses_nan(self):
         config = make_config(lam=0.0, mu_tilde=2.0, delta_mu=16.0, n_cut=6)
-        tensors_l, tensors_r, state, _, _ = solve_point(config, allow_degenerate=True)
+        tensors_l, tensors_r, state, _, _ = solve_point(config)
         report = build_report(config, state, None, tensors_l, tensors_r)
         assert np.isnan(report.phonon_number)
         assert np.isnan(report.zeta)

@@ -1,0 +1,53 @@
+"""Property tests: the solve and report invariants over the validated ranges.
+
+Examples are drawn deterministically (``derandomize=True``) so the suite
+gives the same verdict on every run.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qdmr.observables import build_report
+from qdmr.redfield import MIN_EIG_FLOOR, solve
+from qdmr.validation import reference_config, two_state_current
+
+REL_TOL = 1e-8  # conservation, first law and the lam = 0 current, relative to their flow scale
+SCALE_FLOOR = 1e-6  # rad/ns: flows below this count as zero when scaling a check
+
+
+def _scaled(residual: float, *flows: float) -> float:
+    return abs(residual) / max([abs(f) for f in flows] + [SCALE_FLOOR])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    mu_tilde=st.floats(-60.0, 60.0),
+    delta_mu=st.floats(-150.0, 150.0),
+    delta_t_mk=st.floats(0.0, 60.0),
+    lam=st.one_of(st.just(0.0), st.floats(0.05, 1.4)),
+    n_cut=st.integers(6, 10),
+)
+# corners: decoupled at equilibrium (zero current), strongest coupling at the smallest cutoff
+@example(mu_tilde=0.0, delta_mu=0.0, delta_t_mk=0.0, lam=0.0, n_cut=6)
+@example(mu_tilde=0.0, delta_mu=-50.0, delta_t_mk=0.0, lam=1.4, n_cut=6)
+def test_solve_and_report_invariants(mu_tilde, delta_mu, delta_t_mk, lam, n_cut):
+    config = reference_config(
+        mu_tilde=mu_tilde, delta_mu=delta_mu, delta_t_mk=delta_t_mk, lam=lam, n_cut=n_cut
+    )
+    sol = solve(config)
+    assert (sol.lab is None) == (lam == 0.0) == (sol.info.method == "decoupled")
+    assert abs(sol.polaron.trace - 1.0) <= 1e-12
+    for state in (sol.polaron, sol.lab):
+        if state is not None:
+            for block in (state.rho0, state.rho1):
+                np.testing.assert_allclose(block, block.conj().T, rtol=0, atol=1e-14)
+    assert min(sol.info.min_eig) >= MIN_EIG_FLOOR
+
+    r = build_report(config, sol.polaron, sol.lab, *sol.tensors)
+    assert _scaled(r.current_l + r.current_r, r.current_l, r.current_r) <= REL_TOL
+    energies = (r.heat_el_l, r.heat_el_r, r.heat_mec_l, r.heat_mec_r, r.power)
+    assert _scaled(r.first_law_residual, *energies) <= REL_TOL
+    if lam == 0.0:
+        expected = two_state_current(config)
+        assert _scaled(r.current_r - expected, expected) <= REL_TOL
