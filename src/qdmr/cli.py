@@ -10,11 +10,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from . import leads, phasespace, redfield, sweep, validation
-from .configfile import ConfigError, load_config
+from .configfile import OUTPUT_GROUPS, ConfigError, load_config
 from .model import validate_regime
 
 
@@ -77,22 +79,20 @@ def _build_parser() -> _Parser:
 def _load(args) -> tuple:
     try:
         return load_config(args.config, args.overrides)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"qdmr: {exc}", file=sys.stderr)
         raise SystemExit(1)
 
 
 def _cmd_point(args) -> int:
     config, _ = _load(args)
-    outputs = ("transport", "thermo", "phasespace", "mode")
-    result = sweep.run_point(config, outputs)
-    lines = [f"{key} = {value}" for key, value in result.row(outputs).items()]
+    result = sweep.run_point(config)
+    lines = [f"{key} = {value}" for key, value in result.row(OUTPUT_GROUPS).items()]
     for warning in validate_regime(config):
         lines.append(f"warning = {warning}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text)
     else:
         print(text, end="")
     return 0 if not result.status.startswith("error") else 2
@@ -103,13 +103,11 @@ def _cmd_sweep(args) -> int:
     if spec is None:
         print("qdmr: config has no [sweep] section", file=sys.stderr)
         return 1
-    outcome = sweep.run_sweep(config, spec, args.out, resume=args.resume, workers=args.workers)
+    if args.workers is not None:
+        spec = replace(spec, workers=args.workers)
+    outcome = sweep.run_sweep(config, spec, args.out, resume=args.resume)
     print(f"wrote {outcome.path} ({outcome.n_points} points, {outcome.n_errors} failed)")
     return 3 if outcome.n_errors else 0
-
-
-def _csv_line(*cells) -> str:
-    return ",".join(sweep._format_cell(c) for c in cells) + "\n"
 
 
 def _solve_lab(args) -> tuple:
@@ -137,12 +135,9 @@ def _cmd_husimi(args) -> int:
     imag_axis = np.linspace(-extent, extent, args.points)
     grid_re, grid_im = np.meshgrid(axis, imag_axis, indexing="ij")
     q = phasespace.husimi(rho, grid_re + 1j * grid_im)
-    with open(args.out, "w") as fh:
-        fh.write("# qdmr husimi grid\n")
-        fh.write(f"# center_re = {center!r}\n# extent = {extent!r}\n")
-        fh.write("re_alpha,im_alpha,q\n")
-        for cells in zip(grid_re.ravel(), grid_im.ravel(), q.ravel()):
-            fh.write(_csv_line(*cells))
+    comments = ["# qdmr husimi grid", f"# center_re = {center!r}", f"# extent = {extent!r}"]
+    rows = zip(grid_re.ravel(), grid_im.ravel(), q.ravel())
+    sweep.write_csv(args.out, comments, ["re_alpha", "im_alpha", "q"], rows)
     print(f"wrote {args.out}")
     return 0
 
@@ -159,14 +154,12 @@ def _cmd_torotropy(args) -> int:
         print(f"angle {phi:.6f}: contribution = {contribution!r}, entropy = {entropy!r}")
     if args.out:
         rho, _ = phasespace.reduce_resonator(lab)
-        with open(args.out, "w") as fh:
-            fh.write("# qdmr torotropy radial profiles\n")
-            fh.write(f"# value = {result.value!r}\n")
-            fh.write("phi,r,q_normalized\n")
-            for phi, _, _ in result.per_angle:
-                prof = phasespace.radial_profile(rho, result.anchor, phi)
-                for r, q in zip(prof.radii, prof.values):
-                    fh.write(_csv_line(phi, r, q))
+        rows = []
+        for phi, _, _ in result.per_angle:
+            prof = phasespace.radial_profile(rho, result.anchor, phi)
+            rows += [(phi, r, q) for r, q in zip(prof.radii, prof.values)]
+        comments = ["# qdmr torotropy radial profiles", f"# value = {result.value!r}"]
+        sweep.write_csv(args.out, comments, ["phi", "r", "q_normalized"], rows)
         print(f"wrote {args.out}")
     return 0
 
@@ -181,22 +174,11 @@ def _cmd_markov(args) -> int:
             f"sum rule residual {validation.sum_rule_residual(lead, trace):.1e}"
         )
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("# qdmr bath correlation traces\n")
-            header = ["s_ns"]
-            for trace in traces:
-                label = trace.label
-                header += [
-                    f"{label}_re_c_out", f"{label}_im_c_out",
-                    f"{label}_re_c_in", f"{label}_im_c_in",
-                ]
-            fh.write(",".join(header) + "\n")
-            for i, s in enumerate(traces[0].times):
-                cells = [s]
-                for trace in traces:
-                    c_out, c_in = trace.c_out[i], trace.c_in[i]
-                    cells += [c_out.real, c_out.imag, c_in.real, c_in.imag]
-                fh.write(_csv_line(*cells))
+        header, columns = ["s_ns"], [traces[0].times]
+        for trace in traces:
+            header += [f"{trace.label}_{part}" for part in ("re_c_out", "im_c_out", "re_c_in", "im_c_in")]
+            columns += [trace.c_out.real, trace.c_out.imag, trace.c_in.real, trace.c_in.imag]
+        sweep.write_csv(args.out, ["# qdmr bath correlation traces"], header, zip(*columns))
         print(f"wrote {args.out}")
     return 0 if all(t.converged for t in traces) else 2
 

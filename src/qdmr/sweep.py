@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, observables, phasespace, redfield
-from .configfile import SweepSpec, config_to_dict
+from .configfile import OUTPUT_GROUPS, SweepSpec, config_to_dict
 from .model import ModelConfig
 
 ADAPTIVE_START = 20
@@ -55,14 +55,6 @@ _GROUP_COLUMNS = {
         "eta_converter": "report.eta_converter", "eta_heater": "report.eta_heater",
     },
 }
-
-
-def apply_axis(config: ModelConfig, name: str, value: float) -> ModelConfig:
-    if name in ("mu_tilde", "lam"):
-        return replace(config, system=replace(config.system, **{name: value}))
-    if name == "delta_mu":
-        return config.with_bias(value)
-    raise ValueError(f"unknown sweep axis {name!r}")
 
 
 @dataclass
@@ -133,7 +125,7 @@ def _solve_point(config: ModelConfig, outputs: tuple[str, ...]) -> PointResult:
 
 def run_point(
     config: ModelConfig,
-    outputs: tuple[str, ...] = ("transport", "thermo", "phasespace", "mode"),
+    outputs: tuple[str, ...] = OUTPUT_GROUPS,
     *,
     n_cut_policy: str = "fixed",
 ) -> PointResult:
@@ -174,9 +166,7 @@ def _failed(n_cut: int, exc: Exception) -> PointResult:
 
 
 def sweep_columns(spec: SweepSpec) -> list[str]:
-    cols = [spec.axis1.name]
-    if spec.axis2 is not None:
-        cols.append(spec.axis2.name)
+    cols = [axis.name for axis in spec.axes]
     cols.extend(_BASE_COLUMNS)
     for group in _GROUP_COLUMNS:
         if group in spec.outputs:
@@ -194,15 +184,23 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+def write_csv(path: str | Path, comment_lines: list[str], header: list[str], rows) -> None:
+    """Write ``comment_lines`` as given, then the header and one line of cells per row
+    (every qdmr CSV: numbers in round-trip form, None as an empty cell)."""
+    with open(path, "w") as fh:
+        for line in comment_lines:
+            fh.write(line + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
+
+
 def _metadata_lines(config: ModelConfig, spec: SweepSpec) -> list[str]:
     lines = [f"# qdmr sweep v{__version__}"]
     for key, value in config_to_dict(config).items():
         lines.append(f"# config.{key} = {_format_cell(value)}")
-    a1 = spec.axis1
-    lines.append(f"# sweep.axis1 = {a1.name},{a1.start!r},{a1.stop!r},{a1.count}")
-    if spec.axis2 is not None:
-        a2 = spec.axis2
-        lines.append(f"# sweep.axis2 = {a2.name},{a2.start!r},{a2.stop!r},{a2.count}")
+    for number, axis in enumerate(spec.axes, 1):
+        lines.append(f"# sweep.axis{number} = {axis}")
     lines.append(f"# sweep.outputs = {','.join(spec.outputs)}")
     lines.append(f"# sweep.n_cut_policy = {spec.n_cut_policy}")
     return lines
@@ -213,31 +211,17 @@ def _sweep_signature(config: ModelConfig, spec: SweepSpec) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _point_assignments(spec: SweepSpec) -> list[tuple[int, dict[str, float]]]:
-    v1 = spec.axis1.values()
-    v2 = spec.axis2.values() if spec.axis2 is not None else [None]
-    points = []
-    for i, a in enumerate(v1):
-        for j, b in enumerate(v2):
-            assign = {spec.axis1.name: a}
-            if spec.axis2 is not None:
-                assign[spec.axis2.name] = b
-            points.append((i * len(v2) + j, assign))
-    return points
-
-
-def _evaluate_task(args: tuple) -> tuple[int, dict]:
-    index, config, assign, outputs, n_cut_policy = args
+def _evaluate_task(task: tuple) -> tuple[int, dict]:
+    """Row of one grid point; ``task`` is (index, config, assignment, spec)."""
+    index, config, assignment, spec = task
     try:
         point = config
-        for name, value in assign.items():
-            point = apply_axis(point, name, value)
-        result = run_point(point, tuple(outputs), n_cut_policy=n_cut_policy)
+        for axis in spec.axes:
+            point = axis.apply(point, assignment[axis.name])
+        result = run_point(point, spec.outputs, n_cut_policy=spec.n_cut_policy)
     except Exception as exc:  # invalid point, recorded like a solver failure
         result = _failed(config.system.n_cut, exc)
-    row = dict(assign)
-    row.update(result.row(tuple(outputs)))
-    return index, row
+    return index, {**assignment, **result.row(spec.outputs)}
 
 
 @dataclass(frozen=True)
@@ -253,15 +237,11 @@ def run_sweep(
     out_path: str | Path,
     *,
     resume: bool = False,
-    workers: int | None = None,
 ) -> SweepOutcome:
     out_path = Path(out_path)
     journal_path = out_path.with_name(out_path.name + ".journal")
-    workers = spec.workers if workers is None else workers
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     signature = _sweep_signature(config, spec)
-    points = _point_assignments(spec)
+    points = list(spec.points())
 
     done: dict[int, dict] = {}
     journaled: list[str] = []
@@ -277,8 +257,7 @@ def run_sweep(
                 done[entry["index"]] = entry["row"]
         os.truncate(journal_path, complete)  # its point is computed again
 
-    pending = [(i, a) for i, a in points if i not in done]
-    tasks = [(i, config, a, list(spec.outputs), spec.n_cut_policy) for i, a in pending]
+    tasks = [(index, config, assignment, spec) for index, assignment in points if index not in done]
 
     with open(journal_path, "a" if journaled else "w") as journal:
         if not journaled:
@@ -291,7 +270,7 @@ def run_sweep(
             os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
             os.environ.setdefault("MKL_NUM_THREADS", "1")
             ctx = get_context("spawn")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            with ProcessPoolExecutor(max_workers=spec.workers, mp_context=ctx) as pool:
                 futures = [pool.submit(_evaluate_task, t) for t in tasks]
                 for fut in as_completed(futures):
                     index, row = fut.result()
@@ -299,15 +278,9 @@ def run_sweep(
                     journal.write(json.dumps({"index": index, "row": row}) + "\n")
                     journal.flush()
 
+    rows = [done[index] for index, _ in points]
     columns = sweep_columns(spec)
-    lines = _metadata_lines(config, spec)
-    lines.append(",".join(columns))
-    n_errors = 0
-    for index, _ in points:
-        row = done[index]
-        if str(row.get("status", "")).startswith("error"):
-            n_errors += 1
-        lines.append(",".join(_format_cell(row.get(c)) for c in columns))
-    out_path.write_text("\n".join(lines) + "\n")
+    write_csv(out_path, _metadata_lines(config, spec), columns, ([row.get(c) for c in columns] for row in rows))
     journal_path.unlink(missing_ok=True)
-    return SweepOutcome(path=out_path, n_points=len(points), n_errors=n_errors)
+    n_errors = sum(str(row.get("status", "")).startswith("error") for row in rows)
+    return SweepOutcome(path=out_path, n_points=len(rows), n_errors=n_errors)

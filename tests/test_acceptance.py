@@ -7,6 +7,7 @@ across criteria to keep the whole suite inside its runtime envelopes.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -414,7 +415,7 @@ def test_criterion_11_determinism_and_truncation(tmp_path, so_cut_rows):
     blobs = []
     for workers in (1, 4, 8):
         out = tmp_path / f"w{workers}.csv"
-        run_sweep(config, spec, out, workers=workers)
+        run_sweep(config, replace(spec, workers=workers), out)
         blobs.append(out.read_bytes())
     deterministic = blobs[0] == blobs[1] == blobs[2]
 

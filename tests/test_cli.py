@@ -195,7 +195,25 @@ class TestBadConfig:
     @pytest.mark.parametrize("key", NUMERIC_KEYS)
     def test_non_finite_value(self, key, value, ini, capsys):
         line = self._assert_usage_error(["point", "--config", ini, "--set", f"{key}={value}"], capsys)
-        assert "must be finite" in line
+        assert f"{key} must be finite" in line
+
+    @pytest.mark.parametrize(
+        "setting, named",
+        [
+            ("system.lamm=2", "[system] unknown key 'lamm'"),
+            ("sytem.lam=5", "unknown section [sytem]"),
+            ("sweep.workers=two", "sweep.workers"),
+            ("sweep.axis1=lam, 0, x, 3", "sweep.axis1"),
+            ("sweep.axis1=lam, 0, inf, 3", "sweep.axis1"),
+            ("sweep.axis2=mu_tilde, 5, 6, 2", "sweep.axis1 and sweep.axis2"),
+        ],
+    )
+    def test_setting_outside_the_schema(self, setting, named, sweep_ini, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        argv = ["sweep", "--config", sweep_ini, "--set", setting, "--out", str(out)]
+        assert named in self._assert_usage_error(argv, capsys)
+        assert not out.exists()
+        assert not out.with_name(out.name + ".journal").exists()
 
 
 class TestHusimi:

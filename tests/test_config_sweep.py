@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from multiprocessing import get_context
 
 import pytest
@@ -20,7 +21,7 @@ from qdmr.configfile import (
     config_to_dict,
     load_config,
 )
-from qdmr.sweep import apply_axis, run_point, run_sweep
+from qdmr.sweep import run_point, run_sweep
 from qdmr.validation import two_state_current
 
 from conftest import make_config
@@ -105,8 +106,10 @@ class TestConfigFile:
             load_config(ini_path, overrides=["system.mu_tilde:4.5"])
 
     def test_override_section_is_stripped_before_lookup(self, ini_path):
-        config, _ = load_config(ini_path, ["bias .delta_mu=3", "newsec .x=1"])
+        config, _ = load_config(ini_path, ["bias .delta_mu=3"])
         assert config.delta_mu == 3.0
+        with pytest.raises(ConfigError, match=r"unknown section \[newsec\]"):
+            load_config(ini_path, ["bias .delta_mu=3", "newsec .x=1"])
         parser = configparser.ConfigParser()
         parser.read_string("[bias]\ndelta_mu = 1\n")
         apply_overrides(parser, ["bias .delta_mu=3", "newsec .x=1"])
@@ -134,6 +137,24 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=r"\[lead_(L|R)\].*'temperature'"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("lead_R.mu=1", r"\[lead_R\] unknown key 'mu'"),
+            ("bias.delta=1", r"\[bias\] unknown key 'delta'"),
+            ("sweep.worker=2", r"\[sweep\] unknown key 'worker'"),
+        ],
+    )
+    def test_unknown_section_or_key_is_an_error(self, override, message, sweep_ini_path):
+        with pytest.raises(ConfigError, match=message):
+            load_config(sweep_ini_path, [override])
+
+    def test_default_section_keys_are_unknown(self, tmp_path):
+        path = tmp_path / "defaults.ini"
+        path.write_text("[DEFAULT]\ncoupling = 0.7\n" + BASE_INI)
+        with pytest.raises(ConfigError, match="unknown key 'coupling'"):
+            load_config(path)
+
     def test_out_of_range_value_reports_config_error(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text(BASE_INI.replace("n_cut = ", "n_cut = -"))
@@ -152,6 +173,28 @@ class TestConfigFile:
             SweepAxis("voltage", 0.0, 1.0, 3)
         with pytest.raises(ValueError):
             SweepAxis("mu_tilde", 0.0, 1.0, 0)
+        for start, stop in [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                SweepAxis("lam", start, stop, 3)
+
+    def test_axis_text_reads_back(self, tmp_path):
+        axis = SweepAxis("mu_tilde", -1 / 3, 0.1, 7)
+        assert str(axis) == "mu_tilde,-0.3333333333333333,0.1,7"
+        path = tmp_path / "axis.ini"
+        path.write_text(BASE_INI + f"\n[sweep]\naxis1 = {axis}\n")
+        assert load_config(path)[1].axis1 == axis
+
+    def test_points_are_row_major(self):
+        spec = SweepSpec(axis1=SweepAxis("lam", 0.0, 1.0, 2), axis2=SweepAxis("mu_tilde", -1.0, 1.0, 3))
+        assert list(spec.points()) == [
+            (0, {"lam": 0.0, "mu_tilde": -1.0}),
+            (1, {"lam": 0.0, "mu_tilde": 0.0}),
+            (2, {"lam": 0.0, "mu_tilde": 1.0}),
+            (3, {"lam": 1.0, "mu_tilde": -1.0}),
+            (4, {"lam": 1.0, "mu_tilde": 0.0}),
+            (5, {"lam": 1.0, "mu_tilde": 1.0}),
+        ]
+        assert list(SweepSpec(axis1=SweepAxis("lam", 0.5, 1.0, 1)).points()) == [(0, {"lam": 0.5})]
 
     def test_axis_values_hit_endpoints(self):
         axis = SweepAxis("delta_mu", -10.0, 10.0, 5)
@@ -166,6 +209,8 @@ class TestConfigFile:
             SweepSpec(axis1=axis, n_cut_policy="grow")
         with pytest.raises(ValueError):
             SweepSpec(axis1=axis, workers=0)
+        with pytest.raises(ValueError, match="axis1 and sweep.axis2 both sweep 'mu_tilde'"):
+            SweepSpec(axis1=axis, axis2=SweepAxis("mu_tilde", 5.0, 6.0, 2))
 
     def test_dict_round_trip(self, tmp_path):
         # config_to_dict written as INI lines reads back as the same config
@@ -182,15 +227,11 @@ class TestConfigFile:
 class TestApplyAxis:
     def test_each_axis(self):
         config = make_config()
-        assert apply_axis(config, "mu_tilde", 7.0).system.mu_tilde == 7.0
-        assert apply_axis(config, "lam", 0.4).system.lam == 0.4
-        biased = apply_axis(config, "delta_mu", -30.0)
+        assert SweepAxis("mu_tilde", 0.0, 1.0, 2).apply(config, 7.0).system.mu_tilde == 7.0
+        assert SweepAxis("lam", 0.0, 1.0, 2).apply(config, 0.4).system.lam == 0.4
+        biased = SweepAxis("delta_mu", 0.0, 1.0, 2).apply(config, -30.0)
         assert biased.lead_L.chem_potential == -15.0
         assert biased.lead_R.chem_potential == 15.0
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            apply_axis(make_config(), "omega", 1.0)
 
 
 class TestRunPoint:
@@ -228,7 +269,10 @@ class TestRunPoint:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_non_finite_axis_value_is_an_error_row(self, axis, value):
-        task = (0, make_config(n_cut=6), {axis: value}, ["transport"], "fixed")
+        # a finite axis can still yield such values: -1e308..1e308 overflows the step
+        assert not all(map(math.isfinite, SweepAxis(axis, -1e308, 1e308, 3).values()))
+        spec = SweepSpec(axis1=SweepAxis(axis, 0.0, 1.0, 1), outputs=("transport",))
+        task = (0, make_config(n_cut=6), {axis: value}, spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before any arithmetic
             _, row = sweep._evaluate_task(task)
@@ -294,8 +338,8 @@ class TestRunSweep:
     def test_output_is_worker_count_independent(self, tmp_path):
         config = make_config(lam=0.7, n_cut=10)
         spec = _small_spec()
-        one = run_sweep(config, spec, tmp_path / "w1.csv", workers=1)
-        two = run_sweep(config, spec, tmp_path / "w2.csv", workers=2)
+        one = run_sweep(config, spec, tmp_path / "w1.csv")
+        two = run_sweep(config, replace(spec, workers=2), tmp_path / "w2.csv")
         assert one.n_points == two.n_points == 9
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
@@ -377,7 +421,7 @@ class TestRunSweep:
             assert row["status"] == "degenerate"
             for column in ("phonon_number", "zeta", "torotropy", "ergotropy", "barycenter_gap"):
                 assert math.isnan(float(row[column]))
-            point = apply_axis(apply_axis(config, "lam", 0.0), "mu_tilde", float(row["mu_tilde"]))
+            point = spec.axis2.apply(spec.axis1.apply(config, 0.0), float(row["mu_tilde"]))
             assert abs(float(row["current_R"]) - two_state_current(point)) <= 1e-12
 
     def test_resume_completes_partial_journal_bit_identically(self, tmp_path):
@@ -387,11 +431,7 @@ class TestRunSweep:
         run_sweep(config, spec, fresh)
 
         # compute the first three rows exactly as a worker would
-        points = sweep._point_assignments(spec)
-        tasks = [
-            (i, config, assign, list(spec.outputs), spec.n_cut_policy)
-            for i, assign in points[:3]
-        ]
+        tasks = [(i, config, assignment, spec) for i, assignment in list(spec.points())[:3]]
         ctx = get_context("spawn")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
             rows = list(pool.map(sweep._evaluate_task, tasks))
@@ -412,7 +452,7 @@ class TestRunSweep:
         fresh = tmp_path / "fresh.csv"
         run_sweep(config, spec, fresh)
 
-        task = (0, config, {"mu_tilde": -2.0}, list(spec.outputs), spec.n_cut_policy)
+        task = (0, config, {"mu_tilde": -2.0}, spec)
         with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
             index, row = pool.submit(sweep._evaluate_task, task).result()
         resumed = tmp_path / "resumed.csv"
@@ -433,12 +473,6 @@ class TestRunSweep:
         journal.write_text(text + '{"index": 0, "row": {"mu_tilde": -2.0, "sta\n')
         with pytest.raises(json.JSONDecodeError):
             run_sweep(config, spec, out, resume=True)
-
-    def test_zero_workers_rejected_before_the_journal_opens(self, tmp_path):
-        out = tmp_path / "none.csv"
-        with pytest.raises(ValueError, match="workers"):
-            run_sweep(make_config(n_cut=8), _small_spec(axis2=None), out, workers=0)
-        assert not out.with_name(out.name + ".journal").exists()
 
     def test_resume_does_not_recompute_journaled_points(self, tmp_path):
         config = make_config(lam=0.7, n_cut=8)
