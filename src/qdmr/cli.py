@@ -105,7 +105,11 @@ def _cmd_sweep(args) -> int:
         return 1
     if args.workers is not None:
         spec = replace(spec, workers=args.workers)
-    outcome = sweep.run_sweep(config, spec, args.out, resume=args.resume)
+    try:
+        outcome = sweep.run_sweep(config, spec, args.out, resume=args.resume)
+    except sweep.JournalError as exc:
+        print(f"qdmr: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {outcome.path} ({outcome.n_points} points, {outcome.n_errors} failed)")
     return 3 if outcome.n_errors else 0
 

@@ -44,6 +44,8 @@ class SweepAxis:
             raise ValueError(f"unknown sweep axis {self.name!r}; expected one of {SWEEP_AXES}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError(f"axis start and stop must be finite, got {self.start!r} and {self.stop!r}")
+        if not math.isfinite(self.stop - self.start):  # values() steps by the span
+            raise ValueError(f"axis span stop - start must be finite, got {self.start!r} to {self.stop!r}")
         if self.count < 1:
             raise ValueError("axis count must be >= 1")
 

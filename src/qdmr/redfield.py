@@ -154,7 +154,9 @@ class Liouvillian:
     Row-major vectorization: element (j, m) of a block sits at j*N + m.
     ``decoupled`` is set from the coupling (lam == 0): the displacement is
     then the identity, every Fock population is stationary and the
-    kernel has dimension N.
+    kernel has dimension N.  ``steady_state`` borrows ``matrix``: it
+    overwrites one row while it factorises and restores it before it
+    returns or raises.
     """
 
     matrix: np.ndarray
@@ -172,31 +174,32 @@ class Liouvillian:
 def assemble_liouvillian(
     config: ModelConfig, tensors: tuple[RedfieldTensors, ...]
 ) -> Liouvillian:
-    """Stack coherent evolution and all leads' tensors into one dense matrix."""
+    """Stack coherent evolution and all leads' tensors into one dense matrix.
+
+    The four real blocks are summed and written one at a time, so only one
+    N^2 x N^2 accumulator is alive next to the matrix.
+    """
     n = config.system.n_cut
     omega = config.system.omega
     eye = np.eye(n)
     nn = n * n
 
-    loss0 = np.zeros((nn, nn))
-    loss1 = np.zeros((nn, nn))
-    gain0 = np.zeros((nn, nn))
-    gain1 = np.zeros((nn, nn))
-    for t in tensors:
-        d = t.displacement
-        loss0 += 0.5 * (np.kron(t.w_in.T, eye) + np.kron(eye, t.w_in.T))
-        loss1 += 0.5 * (np.kron(t.w_out.T, eye) + np.kron(eye, t.w_out.T))
-        gain0 += 0.5 * (np.kron(t.v_out, d.T) + np.kron(d.T, t.v_out))
-        gain1 += 0.5 * (np.kron(t.v_in, d) + np.kron(d, t.v_in))
+    def lead_sum(pair) -> np.ndarray:
+        """Sum over leads of (kron(a, b) + kron(b, a)) / 2, with (a, b) = pair(lead)."""
+        acc = np.zeros((nn, nn))
+        for t in tensors:
+            a, b = pair(t)
+            acc += 0.5 * (np.kron(a, b) + np.kron(b, a))
+        return acc
+
+    mat = np.zeros((2 * nn, 2 * nn), dtype=complex)
+    mat.real[:nn, :nn] = -lead_sum(lambda t: (t.w_in.T, eye))
+    mat.real[:nn, nn:] = lead_sum(lambda t: (t.v_out, t.displacement.T))
+    mat.real[nn:, :nn] = lead_sum(lambda t: (t.v_in, t.displacement))
+    mat.real[nn:, nn:] = -lead_sum(lambda t: (t.w_out.T, eye))
 
     jm = np.arange(n)
     coherent = (-1j * omega * (jm[:, None] - jm[None, :])).reshape(-1)
-
-    mat = np.zeros((2 * nn, 2 * nn), dtype=complex)
-    mat[:nn, :nn] = -loss0
-    mat[:nn, nn:] = gain0
-    mat[nn:, :nn] = gain1
-    mat[nn:, nn:] = -loss1
     di = np.arange(nn)
     mat[di, di] += coherent
     mat[nn + di, nn + di] += coherent
@@ -216,7 +219,10 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
 
     Replaces the least diagonally dominant population row of the generator
     with the trace functional and solves the bordered system, which is
-    nonsingular whenever the kernel is one-dimensional.  A decoupled
+    nonsingular whenever the kernel is one-dimensional.  The row is
+    replaced in ``liou.matrix`` itself and restored before the function
+    returns or raises, so the solve holds two generator-sized arrays:
+    the matrix and its LU factors.  A decoupled
     generator has an N-dimensional kernel, so its phonon sector is not
     unique; it returns, with method "decoupled", the representative with
     flat Fock populations, rho0 = (1-p1) I/N and rho1 = p1 I/N, where
@@ -245,18 +251,23 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
         x = np.concatenate([(1.0 - p1) * flat, p1 * flat])
         method = "decoupled"
     else:
-        bordered = mat.copy()
-        bordered[row, :] = t
         rhs = np.zeros(dim, dtype=complex)
         rhs[row] = 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a singular pivot fails the residual gate below
-            lu = scipy.linalg.lu_factor(bordered)
-            x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-            # iterative refinement: pushes the kernel residual to
-            # rounding level so conservation identities hold tightly
-            for _ in range(2):
-                x = x + scipy.linalg.lu_solve(lu, rhs - bordered @ x, check_finite=False)
+        saved = mat[row].copy()
+        try:
+            # the generator is bordered in place; lu_factor's own
+            # Fortran-order copy is then the only second copy
+            mat[row] = t
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a singular pivot fails the residual gate below
+                lu = scipy.linalg.lu_factor(mat, check_finite=False)
+                x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+                # iterative refinement: pushes the kernel residual to
+                # rounding level so conservation identities hold tightly
+                for _ in range(2):
+                    x = x + scipy.linalg.lu_solve(lu, rhs - mat @ x, check_finite=False)
+        finally:
+            mat[row] = saved
         method = "lu"
 
     rho0 = x[:nn].reshape(n, n)

@@ -147,11 +147,12 @@ def run_point(
             result = _solve_point(cfg, outputs)
             tail_ok = result.lab_state is not None and result.lab_state.fock_tail < ADAPTIVE_TAIL_TOL
             drift_ok = True
-            if "phasespace" in outputs and prev is not None and prev.torotropy and result.torotropy:
-                a, b = prev.torotropy.value, result.torotropy.value
-                drift_ok = abs(a - b) <= ADAPTIVE_DRIFT_TOL * max(abs(a), abs(b)) or max(abs(a), abs(b)) < 1e-9
-            need_drift = "phasespace" in outputs
-            if tail_ok and (not need_drift or (prev is not None and drift_ok)):
+            if "phasespace" in outputs:  # the torotropy must also settle, so at least two sizes
+                drift_ok = prev is not None
+                if drift_ok and prev.torotropy and result.torotropy:
+                    a, b = prev.torotropy.value, result.torotropy.value
+                    drift_ok = abs(a - b) <= ADAPTIVE_DRIFT_TOL * max(abs(a), abs(b)) or max(abs(a), abs(b)) < 1e-9
+            if tail_ok and drift_ok:
                 return result
             if n >= ADAPTIVE_CAP:
                 return replace(result, status="n_cut_cap")
@@ -224,6 +225,31 @@ def _evaluate_task(task: tuple) -> tuple[int, dict]:
     return index, {**assignment, **result.row(spec.outputs)}
 
 
+class JournalError(ValueError):
+    """A sweep journal that ``resume`` cannot use: another sweep's, or a malformed line."""
+
+
+def _read_journal(path: Path, data: bytes, signature: str) -> dict[int, dict]:
+    """{index: row} from the complete lines ``data`` of the journal at ``path``,
+    which must belong to the sweep with ``signature``."""
+    done = {}
+    for number, line in enumerate(data.splitlines(), 1):
+        if number > 1 and not line.strip():
+            continue
+        try:
+            entry = json.loads(line.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise JournalError(f"journal {path}: line {number} is not JSON ({exc}); remove it or drop --resume") from exc
+        keys = {"signature": str} if number == 1 else {"index": int, "row": dict}
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(k), t) for k, t in keys.items())):
+            raise JournalError(f"journal {path}: line {number} is not a journal entry; remove it or drop --resume")
+        if number > 1:
+            done[entry["index"]] = entry["row"]
+        elif entry["signature"] != signature:
+            raise JournalError(f"journal {path} does not match this sweep; remove it or drop --resume")
+    return done
+
+
 @dataclass(frozen=True)
 class SweepOutcome:
     path: Path
@@ -244,17 +270,12 @@ def run_sweep(
     points = list(spec.points())
 
     done: dict[int, dict] = {}
-    journaled: list[str] = []
+    journaled = b""
     if resume and journal_path.exists():
         data = journal_path.read_bytes()
         complete = data.rfind(b"\n") + 1  # a last line without its newline was cut short
-        journaled = data[:complete].decode().splitlines()
-        if journaled and json.loads(journaled[0]).get("signature") != signature:
-            raise ValueError("journal does not match this sweep; remove it or drop --resume")
-        for line in journaled[1:]:
-            if line.strip():
-                entry = json.loads(line)
-                done[entry["index"]] = entry["row"]
+        journaled = data[:complete]
+        done = _read_journal(journal_path, journaled, signature)
         os.truncate(journal_path, complete)  # its point is computed again
 
     tasks = [(index, config, assignment, spec) for index, assignment in points if index not in done]

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import qdmr
+from qdmr import sweep
 from qdmr.cli import main
+from qdmr.configfile import load_config
 
 BASE_INI = """
 [system]
@@ -129,6 +131,33 @@ class TestSweep:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "second_line, message",
+        [
+            (None, "does not match this sweep"),
+            ('{"index": 0, "row": {"mu_tilde": -2.0, "sta', "line 2 is not JSON"),
+            ('{"index": 0}', "line 2 is not a journal entry"),
+        ],
+        ids=["other_sweep", "cut_json", "no_row"],
+    )
+    def test_unusable_journal_is_a_usage_error(self, second_line, message, sweep_ini, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        journal = out.with_name(out.name + ".journal")
+        if second_line is None:
+            journal.write_text(json.dumps({"signature": "deadbeef"}) + "\n")
+        else:
+            signature = sweep._sweep_signature(*load_config(sweep_ini))
+            journal.write_text(json.dumps({"signature": signature}) + "\n" + second_line + "\n")
+        code = main(["sweep", "--config", sweep_ini, "--out", str(out), "--resume"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"qdmr: journal {journal}")
+        assert message in lines[0]
+        assert not out.exists()
+
 
 class TestInvalidSizes:
     @pytest.mark.parametrize(
@@ -205,6 +234,7 @@ class TestBadConfig:
             ("sweep.workers=two", "sweep.workers"),
             ("sweep.axis1=lam, 0, x, 3", "sweep.axis1"),
             ("sweep.axis1=lam, 0, inf, 3", "sweep.axis1"),
+            ("sweep.axis1=lam, -1e308, 1e308, 3", "sweep.axis1: axis span"),
             ("sweep.axis2=mu_tilde, 5, 6, 2", "sweep.axis1 and sweep.axis2"),
         ],
     )

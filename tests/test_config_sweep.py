@@ -173,7 +173,7 @@ class TestConfigFile:
             SweepAxis("voltage", 0.0, 1.0, 3)
         with pytest.raises(ValueError):
             SweepAxis("mu_tilde", 0.0, 1.0, 0)
-        for start, stop in [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)]:
+        for start, stop in [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308)]:
             with pytest.raises(ValueError, match="finite"):
                 SweepAxis("lam", start, stop, 3)
 
@@ -269,8 +269,6 @@ class TestRunPoint:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_non_finite_axis_value_is_an_error_row(self, axis, value):
-        # a finite axis can still yield such values: -1e308..1e308 overflows the step
-        assert not all(map(math.isfinite, SweepAxis(axis, -1e308, 1e308, 3).values()))
         spec = SweepSpec(axis1=SweepAxis(axis, 0.0, 1.0, 1), outputs=("transport",))
         task = (0, make_config(n_cut=6), {axis: value}, spec)
         with warnings.catch_warnings():
@@ -471,8 +469,9 @@ class TestRunSweep:
         journal = out.with_name(out.name + ".journal")
         text = json.dumps({"signature": sweep._sweep_signature(config, spec)}) + "\n"
         journal.write_text(text + '{"index": 0, "row": {"mu_tilde": -2.0, "sta\n')
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(sweep.JournalError, match="line 2 is not JSON") as err:
             run_sweep(config, spec, out, resume=True)
+        assert isinstance(err.value.__cause__, json.JSONDecodeError)
 
     def test_resume_does_not_recompute_journaled_points(self, tmp_path):
         config = make_config(lam=0.7, n_cut=8)

@@ -1,10 +1,15 @@
 """Transition tensors, generator assembly, and the steady-state solver."""
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qdmr.redfield import (
     FrameError,
+    SteadyStateError,
     assemble_liouvillian,
     build_tensors,
     solve,
@@ -228,6 +233,42 @@ class TestSteadyState:
         ]
         expected = (g[0] * f[0] + g[1] * f[1]) / (g[0] + g[1])
         assert state.occupation == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n_cut", [12, 20])
+    def test_solve_holds_one_generator_copy_beyond_the_matrix(self, n_cut):
+        config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
+        liou = assemble_liouvillian(
+            config, tuple(build_tensors(config, lead) for lead in config.leads)
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            steady_state(liou)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the LU factors are the one copy; a bordered copy next to them is two
+        assert peak - before <= 1.1 * liou.matrix.nbytes
+
+    @pytest.mark.parametrize(
+        "lam, solve_fails, error",
+        [(0.7, False, None), (1e-10, False, SteadyStateError), (0.7, True, MemoryError)],
+        ids=["returns", "gate_raises", "solver_raises"],  # lam = 1e-10 fails the positivity gate
+    )
+    def test_matrix_is_restored(self, lam, solve_fails, error, monkeypatch):
+        config = make_config(lam=lam, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
+        liou = assemble_liouvillian(
+            config, tuple(build_tensors(config, lead) for lead in config.leads)
+        )
+        before = liou.matrix.tobytes()
+        if solve_fails:
+            def out_of_memory(*args, **kwargs):
+                raise MemoryError
+
+            monkeypatch.setattr(scipy.linalg, "lu_solve", out_of_memory)
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            steady_state(liou)
+        assert liou.matrix.tobytes() == before
 
 
 class TestFramesAndSerialization:
