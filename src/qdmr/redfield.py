@@ -38,6 +38,7 @@ from .phonon import displacement_matrix
 
 MIN_EIG_FLOOR = -1e-8  # smallest block eigenvalue a stationary state may have
 RESIDUAL_RTOL = 1e-8  # largest max|L x| of a stationary state x, relative to the infinity norm of L
+ROW_BLOCK_BYTES = 1 << 20  # generator rows built at a time: whole multiples of N rows, at least N
 
 
 class SteadyStateError(RuntimeError):
@@ -149,17 +150,21 @@ def build_tensors(config: ModelConfig, lead: LeadParams) -> RedfieldTensors:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense generator acting on the stacked vector [vec(rho0); vec(rho1)].
+    """Generator on the stacked vector [vec(rho0); vec(rho1)], kept in factored form.
 
     Row-major vectorization: element (j, m) of a block sits at j*N + m.
+    The dense 2N^2 x 2N^2 complex matrix is never stored; ``rows`` builds
+    any run of its rows.  Held instead: the two lead-summed gain blocks
+    (real N^2 x N^2), the lead-summed loss on the only columns where it can
+    be nonzero (see ``_loss_lines``), and the coherent diagonal.
     ``decoupled`` is set from the coupling (lam == 0): the displacement is
-    then the identity, every Fock population is stationary and the
-    kernel has dimension N.  ``steady_state`` borrows ``matrix``: it
-    overwrites one row while it factorises and restores it before it
-    returns or raises.
+    then the identity, every Fock population is stationary and the kernel
+    has dimension N.
     """
 
-    matrix: np.ndarray
+    gain: tuple[np.ndarray, np.ndarray]  # (into rho0 from rho1, into rho1 from rho0)
+    loss: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # _loss_lines of w_in^T, of w_out^T
+    coherent: np.ndarray  # -i omega (j - m) at j*N + m
     n_cut: int
     decoupled: bool
 
@@ -170,40 +175,103 @@ class Liouvillian:
         t_block = np.eye(n).reshape(-1)
         return np.concatenate([t_block, t_block]).astype(complex)
 
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of the dense generator, as a C-order complex array.
+
+        Bit for bit the matrix of the Kronecker assembly: its loss block is
+        -0.0 off the two loss lines, its gain rows are copies, and the
+        coherent diagonal is added last.
+        """
+        n = self.n_cut
+        nn = n * n
+        out = np.zeros((stop - start, 2 * nn), dtype=complex)
+        for half, ((along_a, along_b), gain) in enumerate(zip(self.loss, self.gain)):
+            lo, hi = max(start, half * nn), min(stop, (half + 1) * nn)
+            if lo >= hi:
+                continue
+            block = out[lo - start : hi - start]
+            r = slice(lo - half * nn, hi - half * nn)
+            j, m = np.divmod(np.arange(r.start, r.stop), n)
+            i = np.arange(hi - lo)[:, None]
+            loss = block.real[:, half * nn : (half + 1) * nn]
+            loss[:] = -0.0
+            loss[i, np.arange(n) * n + m[:, None]] = along_a[r]
+            loss[i, j[:, None] * n + np.arange(n)] = along_b[r]
+            block.real[:, (1 - half) * nn : (2 - half) * nn] = gain[r]
+            block[i[:, 0], np.arange(lo, hi)] += self.coherent[r]
+        return out
+
+
+def _loss_lines(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Loss block -sum_A (kron(A, I) + kron(I, A)) / 2 over the leads' factors A
+    (w_in^T or w_out^T), on each row (j, m) at the columns (a, m) and (j, b)
+    for every a and b: (along_a, along_b), each N^2 x N.
+
+    Only there can the block be nonzero; elsewhere every lead adds a signed
+    zero to an accumulator that starts at +0.0, which the negation makes
+    -0.0.  The products and sums are those of the Kronecker assembly,
+    element by element and in the same order, so the values are its own.
+    """
+    n = factors[0].shape[0]
+    j, m = np.divmod(np.arange(n * n), n)
+    eye = np.eye(n)
+    along_a = np.zeros((n * n, n))
+    along_b = np.zeros((n * n, n))
+    for a in factors:
+        along_a += 0.5 * (a[j, :] * eye[m, m][:, None] + eye[j, :] * a[m, m][:, None])
+        along_b += 0.5 * (a[j, j][:, None] * eye[m, :] + eye[j, j][:, None] * a[m, :])
+    return -along_a, -along_b
+
 
 def assemble_liouvillian(
     config: ModelConfig, tensors: tuple[RedfieldTensors, ...]
 ) -> Liouvillian:
-    """Stack coherent evolution and all leads' tensors into one dense matrix.
+    """Factored generator of coherent evolution and all leads' tensors.
 
-    The four real blocks are summed and written one at a time, so only one
-    N^2 x N^2 accumulator is alive next to the matrix.
+    Each gain block is the sum over leads of (kron(a, b) + kron(b, a)) / 2,
+    built once: 16 N^4 bytes for the two, against 64 N^4 for the dense
+    complex generator.
     """
     n = config.system.n_cut
     omega = config.system.omega
-    eye = np.eye(n)
-    nn = n * n
 
     def lead_sum(pair) -> np.ndarray:
         """Sum over leads of (kron(a, b) + kron(b, a)) / 2, with (a, b) = pair(lead)."""
-        acc = np.zeros((nn, nn))
+        acc = np.zeros((n * n, n * n))
         for t in tensors:
             a, b = pair(t)
             acc += 0.5 * (np.kron(a, b) + np.kron(b, a))
         return acc
 
-    mat = np.zeros((2 * nn, 2 * nn), dtype=complex)
-    mat.real[:nn, :nn] = -lead_sum(lambda t: (t.w_in.T, eye))
-    mat.real[:nn, nn:] = lead_sum(lambda t: (t.v_out, t.displacement.T))
-    mat.real[nn:, :nn] = lead_sum(lambda t: (t.v_in, t.displacement))
-    mat.real[nn:, nn:] = -lead_sum(lambda t: (t.w_out.T, eye))
-
+    gain = (
+        lead_sum(lambda t: (t.v_out, t.displacement.T)),
+        lead_sum(lambda t: (t.v_in, t.displacement)),
+    )
+    loss = (_loss_lines([t.w_in.T for t in tensors]), _loss_lines([t.w_out.T for t in tensors]))
     jm = np.arange(n)
     coherent = (-1j * omega * (jm[:, None] - jm[None, :])).reshape(-1)
-    di = np.arange(nn)
-    mat[di, di] += coherent
-    mat[nn + di, nn + di] += coherent
-    return Liouvillian(matrix=mat, n_cut=n, decoupled=config.system.lam == 0.0)
+    return Liouvillian(gain=gain, loss=loss, coherent=coherent, n_cut=n, decoupled=config.system.lam == 0.0)
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive runs of k*N generator rows (k >= 1) that cover
+    all 2N^2 rows; every run has at least N >= 2 rows, because a one-row
+    product rounds differently from the same row inside a matrix product."""
+    dim = 2 * n * n
+    step = n * max(1, ROW_BLOCK_BYTES // (16 * dim * n))
+    return [(start, min(start + step, dim)) for start in range(0, dim, step)]
+
+
+def _apply(liou: Liouvillian, x: np.ndarray, border: int | None = None) -> np.ndarray:
+    """Generator times ``x``, one row block at a time; row ``border``, if
+    given, is replaced with the trace functional."""
+    y = np.empty_like(x)
+    for start, stop in _row_blocks(liou.n_cut):
+        block = liou.rows(start, stop)
+        if border is not None and start <= border < stop:
+            block[border - start] = liou.trace_vector
+        y[start:stop] = block @ x
+    return y
 
 
 @dataclass(frozen=True)
@@ -219,10 +287,10 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
 
     Replaces the least diagonally dominant population row of the generator
     with the trace functional and solves the bordered system, which is
-    nonsingular whenever the kernel is one-dimensional.  The row is
-    replaced in ``liou.matrix`` itself and restored before the function
-    returns or raises, so the solve holds two generator-sized arrays:
-    the matrix and its LU factors.  A decoupled
+    nonsingular whenever the kernel is one-dimensional.  One pass over
+    the row blocks fills a Fortran-order buffer that LAPACK factorises in
+    place, so the solve holds one generator-sized array; the refinement
+    and residual products build the rows again.  A decoupled
     generator has an N-dimensional kernel, so its phonon sector is not
     unique; it returns, with method "decoupled", the representative with
     flat Fock populations, rho0 = (1-p1) I/N and rho1 = p1 I/N, where
@@ -234,18 +302,26 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     raises: a numerically degenerate generator (0 < lam <= 1e-8) passes
     the residual gate with a state far from positive.
     """
-    mat = liou.matrix
-    dim = mat.shape[0]
     n = liou.n_cut
     nn = n * n
+    dim = 2 * nn
     t = liou.trace_vector
-    gate = RESIDUAL_RTOL * float(np.abs(mat).sum(axis=1).max())
+    buf = None if liou.decoupled else np.empty((dim, dim), dtype=complex, order="F")
+    row_sums = np.empty(dim)
+    diag = np.empty(dim, dtype=complex)
+    for start, stop in _row_blocks(n):
+        block = liou.rows(start, stop)
+        row_sums[start:stop] = np.abs(block).sum(axis=1)
+        diag[start:stop] = block[np.arange(stop - start), np.arange(start, stop)]
+        if buf is not None:
+            buf[start:stop] = block
+    gate = RESIDUAL_RTOL * float(row_sums.max())
     rows = np.flatnonzero(t)
-    dominance = 2.0 * np.abs(mat[rows, rows]) - np.abs(mat[rows]).sum(axis=1)
+    dominance = 2.0 * np.abs(diag[rows]) - row_sums[rows]
     row = int(rows[np.argmin(dominance)])
 
     if liou.decoupled:
-        gamma_in, gamma_out = -mat[0, 0].real, -mat[nn, nn].real
+        gamma_in, gamma_out = -diag[0].real, -diag[nn].real
         p1 = gamma_in / (gamma_in + gamma_out)
         flat = np.eye(n, dtype=complex).reshape(-1) / n
         x = np.concatenate([(1.0 - p1) * flat, p1 * flat])
@@ -253,21 +329,15 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     else:
         rhs = np.zeros(dim, dtype=complex)
         rhs[row] = 1.0
-        saved = mat[row].copy()
-        try:
-            # the generator is bordered in place; lu_factor's own
-            # Fortran-order copy is then the only second copy
-            mat[row] = t
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a singular pivot fails the residual gate below
-                lu = scipy.linalg.lu_factor(mat, check_finite=False)
-                x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-                # iterative refinement: pushes the kernel residual to
-                # rounding level so conservation identities hold tightly
-                for _ in range(2):
-                    x = x + scipy.linalg.lu_solve(lu, rhs - mat @ x, check_finite=False)
-        finally:
-            mat[row] = saved
+        buf[row] = t
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a singular pivot fails the residual gate below
+            lu = scipy.linalg.lu_factor(buf, overwrite_a=True, check_finite=False)
+            x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+            # iterative refinement: pushes the kernel residual to
+            # rounding level so conservation identities hold tightly
+            for _ in range(2):
+                x = x + scipy.linalg.lu_solve(lu, rhs - _apply(liou, x, border=row), check_finite=False)
         method = "lu"
 
     rho0 = x[:nn].reshape(n, n)
@@ -279,7 +349,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     rho1 = rho1 / tr
 
     final = np.concatenate([rho0.reshape(-1), rho1.reshape(-1)])
-    residual = float(np.abs(mat @ final).max())
+    residual = float(np.abs(_apply(liou, final)).max())
     if not residual <= gate:
         raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {gate:.3e}")
     min_eig = (

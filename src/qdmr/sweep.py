@@ -7,7 +7,10 @@ spawned single-threaded worker process regardless of the worker count,
 so the same sweep produces byte-identical files with 1 or 8 workers.
 Completed points are journaled as JSON lines next to the output file;
 an interrupted sweep picks up where it left off with ``resume=True``,
-recomputing a point whose journal line a kill cut short.
+recomputing a point whose journal line a kill cut short.  A killed worker
+breaks the pool: every point it did not return is written as an
+``error:BrokenProcessPool`` row but not journaled, and the journal is
+kept, so ``resume=True`` computes those points again.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -279,6 +283,7 @@ def run_sweep(
         os.truncate(journal_path, complete)  # its point is computed again
 
     tasks = [(index, config, assignment, spec) for index, assignment in points if index not in done]
+    lost: dict[int, dict] = {}  # points a killed worker took with it: in the CSV, not the journal
 
     with open(journal_path, "a" if journaled else "w") as journal:
         if not journaled:
@@ -292,16 +297,22 @@ def run_sweep(
             os.environ.setdefault("MKL_NUM_THREADS", "1")
             ctx = get_context("spawn")
             with ProcessPoolExecutor(max_workers=spec.workers, mp_context=ctx) as pool:
-                futures = [pool.submit(_evaluate_task, t) for t in tasks]
+                futures = {pool.submit(_evaluate_task, t): t for t in tasks}
                 for fut in as_completed(futures):
-                    index, row = fut.result()
+                    try:
+                        index, row = fut.result()
+                    except BrokenProcessPool as exc:
+                        index, _, assignment, _ = futures[fut]
+                        lost[index] = {**assignment, **_failed(config.system.n_cut, exc).row(spec.outputs)}
+                        continue
                     done[index] = row
                     journal.write(json.dumps({"index": index, "row": row}) + "\n")
                     journal.flush()
 
-    rows = [done[index] for index, _ in points]
+    rows = [done[index] if index in done else lost[index] for index, _ in points]
     columns = sweep_columns(spec)
     write_csv(out_path, _metadata_lines(config, spec), columns, ([row.get(c) for c in columns] for row in rows))
-    journal_path.unlink(missing_ok=True)
+    if not lost:
+        journal_path.unlink(missing_ok=True)
     n_errors = sum(str(row.get("status", "")).startswith("error") for row in rows)
     return SweepOutcome(path=out_path, n_points=len(rows), n_errors=n_errors)

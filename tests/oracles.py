@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_factor, lu_solve
 from scipy.special import gammaln
 
 
@@ -266,6 +266,73 @@ def steady_state_expm(matrix: np.ndarray, n_cut: int, t_step: float = 50.0) -> t
         if np.abs(matrix @ vec).max() < 1e-12:
             break
     return vec[: dim // 2].reshape(n_cut, n_cut), vec[dim // 2 :].reshape(n_cut, n_cut)
+
+
+# --- dense Kronecker generator and its bordered LU solve (small N) --------
+
+
+def liouvillian_dense(config, tensors) -> np.ndarray:
+    """The whole 2N^2 x 2N^2 complex generator, assembled with np.kron.
+
+    Each lead adds (kron(a, b) + kron(b, a)) / 2 to the block it feeds, in
+    lead order; the two loss blocks are negated; the coherent diagonal is
+    added last.  ``Liouvillian.rows`` must reproduce it bit for bit.
+    """
+    n = config.system.n_cut
+    omega = config.system.omega
+    eye = np.eye(n)
+    nn = n * n
+
+    def lead_sum(pair) -> np.ndarray:
+        acc = np.zeros((nn, nn))
+        for t in tensors:
+            a, b = pair(t)
+            acc += 0.5 * (np.kron(a, b) + np.kron(b, a))
+        return acc
+
+    mat = np.zeros((2 * nn, 2 * nn), dtype=complex)
+    mat.real[:nn, :nn] = -lead_sum(lambda t: (t.w_in.T, eye))
+    mat.real[:nn, nn:] = lead_sum(lambda t: (t.v_out, t.displacement.T))
+    mat.real[nn:, :nn] = lead_sum(lambda t: (t.v_in, t.displacement))
+    mat.real[nn:, nn:] = -lead_sum(lambda t: (t.w_out.T, eye))
+
+    jm = np.arange(n)
+    coherent = (-1j * omega * (jm[:, None] - jm[None, :])).reshape(-1)
+    di = np.arange(nn)
+    mat[di, di] += coherent
+    mat[nn + di, nn + di] += coherent
+    return mat
+
+
+def steady_state_bordered_lu(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """(rho0, rho1, bordered row, max|mat x|) of the bordered LU solve on the
+    whole matrix: the least diagonally dominant population row replaced by
+    the trace functional, two refinement passes, Hermitian part, trace
+    one.  The arithmetic ``redfield.steady_state`` must reproduce.
+    """
+    nn = n * n
+    t_block = np.eye(n).reshape(-1)
+    t = np.concatenate([t_block, t_block]).astype(complex)
+    rows = np.flatnonzero(t)
+    dominance = 2.0 * np.abs(mat[rows, rows]) - np.abs(mat[rows]).sum(axis=1)
+    row = int(rows[np.argmin(dominance)])
+    bordered = mat.copy()
+    bordered[row] = t
+    rhs = np.zeros(2 * nn, dtype=complex)
+    rhs[row] = 1.0
+    lu = lu_factor(bordered, check_finite=False)
+    x = lu_solve(lu, rhs, check_finite=False)
+    for _ in range(2):
+        x = x + lu_solve(lu, rhs - bordered @ x, check_finite=False)
+    rho0 = x[:nn].reshape(n, n)
+    rho1 = x[nn:].reshape(n, n)
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    rho1 = 0.5 * (rho1 + rho1.conj().T)
+    tr = float(np.trace(rho0).real + np.trace(rho1).real)
+    rho0 = rho0 / tr
+    rho1 = rho1 / tr
+    residual = float(np.abs(mat @ np.concatenate([rho0.reshape(-1), rho1.reshape(-1)])).max())
+    return rho0, rho1, row, residual
 
 
 # --- phase space ----------------------------------------------------------

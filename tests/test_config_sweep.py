@@ -5,7 +5,8 @@ import csv
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from multiprocessing import get_context
 
@@ -421,6 +422,39 @@ class TestRunSweep:
                 assert math.isnan(float(row[column]))
             point = spec.axis2.apply(spec.axis1.apply(config, 0.0), float(row["mu_tilde"]))
             assert abs(float(row["current_R"]) - two_state_current(point)) <= 1e-12
+
+    def test_killed_worker_gives_error_rows_that_resume_recomputes(self, tmp_path, monkeypatch):
+        config = make_config(lam=0.7, n_cut=8)
+        spec = _small_spec(axis2=None)
+        fresh = tmp_path / "fresh.csv"
+        run_sweep(config, spec, fresh)
+
+        class KilledWorkerPool(ProcessPoolExecutor):
+            """Point 0 runs in a worker; then a worker dies, and the pool fails
+            every later point as ProcessPoolExecutor does."""
+
+            def submit(self, fn, task):
+                if task[0] == 0:
+                    return super().submit(fn, task)
+                fut = Future()
+                fut.set_exception(BrokenProcessPool("a process in the pool was terminated abruptly"))
+                return fut
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", KilledWorkerPool)
+        out = tmp_path / "killed.csv"
+        outcome = run_sweep(config, spec, out)
+        assert (outcome.n_points, outcome.n_errors) == (3, 2)
+        with open(out) as fh:
+            rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+        assert [r["status"] for r in rows] == ["ok", "error:BrokenProcessPool", "error:BrokenProcessPool"]
+        assert [float(r["mu_tilde"]) for r in rows] == [-2.0, 0.0, 2.0]
+        journal = out.with_name(out.name + ".journal")
+        assert [json.loads(line).get("index") for line in journal.read_text().splitlines()] == [None, 0]
+
+        monkeypatch.undo()
+        run_sweep(config, spec, out, resume=True)
+        assert out.read_bytes() == fresh.read_bytes()
+        assert not journal.exists()
 
     def test_resume_completes_partial_journal_bit_identically(self, tmp_path):
         config = make_config(lam=0.7, n_cut=8)

@@ -4,13 +4,18 @@ Examples are drawn deterministically (``derandomize=True``) so the suite
 gives the same verdict on every run.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdmr import redfield
 from qdmr.observables import build_report
-from qdmr.redfield import MIN_EIG_FLOOR, solve
+from qdmr.redfield import MIN_EIG_FLOOR, assemble_liouvillian, build_tensors, solve, steady_state
 from qdmr.validation import reference_config, two_state_current
+
+from oracles import liouvillian_dense, steady_state_bordered_lu
 
 REL_TOL = 1e-8  # conservation, first law and the lam = 0 current, relative to their flow scale
 SCALE_FLOOR = 1e-6  # rad/ns: flows below this count as zero when scaling a check
@@ -51,3 +56,36 @@ def test_solve_and_report_invariants(mu_tilde, delta_mu, delta_t_mk, lam, n_cut)
     if lam == 0.0:
         expected = two_state_current(config)
         assert _scaled(r.current_r - expected, expected) <= REL_TOL
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    mu_tilde=st.floats(-60.0, 60.0),
+    delta_mu=st.floats(-150.0, 150.0),
+    delta_t_mk=st.floats(0.0, 60.0),
+    lam=st.one_of(st.just(0.0), st.floats(0.05, 1.4)),
+    n_cut=st.integers(6, 10),
+)
+@example(mu_tilde=0.0, delta_mu=-50.0, delta_t_mk=0.0, lam=1.4, n_cut=7)
+def test_rows_and_solve_match_the_dense_oracle(mu_tilde, delta_mu, delta_t_mk, lam, n_cut):
+    """The generator's rows and its stationary state are bit for bit those of
+    the dense Kronecker matrix and its bordered LU solve, with the solve's
+    products made over one row block and over blocks of N rows."""
+    config = reference_config(
+        mu_tilde=mu_tilde, delta_mu=delta_mu, delta_t_mk=delta_t_mk, lam=lam, n_cut=n_cut
+    )
+    tensors = tuple(build_tensors(config, lead) for lead in config.leads)
+    liou = assemble_liouvillian(config, tensors)
+    dense = liouvillian_dense(config, tensors)
+    nn = n_cut * n_cut
+    assert liou.rows(0, 2 * nn).tobytes() == dense.tobytes()
+    assert liou.rows(nn - 3, nn + 2).tobytes() == dense[nn - 3 : nn + 2].tobytes()
+    if lam == 0.0:
+        return
+    rho0, rho1, row, residual = steady_state_bordered_lu(dense, n_cut)
+    for budget in (redfield.ROW_BLOCK_BYTES, 1):  # 1: every block is N rows
+        with mock.patch.object(redfield, "ROW_BLOCK_BYTES", budget):
+            state, info = steady_state(liou)
+        assert (info.norm_row, info.residual) == (row, residual)
+        assert state.rho0.tobytes() == rho0.tobytes()
+        assert state.rho1.tobytes() == rho1.tobytes()
