@@ -271,6 +271,7 @@ def _apply(liou: Liouvillian, x: np.ndarray, border: int | None = None) -> np.nd
         if border is not None and start <= border < stop:
             block[border - start] = liou.trace_vector
         y[start:stop] = block @ x
+        del block  # so the next block is built with this one freed
     return y
 
 
@@ -315,6 +316,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
         diag[start:stop] = block[np.arange(stop - start), np.arange(start, stop)]
         if buf is not None:
             buf[start:stop] = block
+        del block  # so the next block, and the factorisation, run with this one freed
     gate = RESIDUAL_RTOL * float(row_sums.max())
     rows = np.flatnonzero(t)
     dominance = 2.0 * np.abs(diag[rows]) - row_sums[rows]

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from qdmr.redfield import (
+    ROW_BLOCK_BYTES,
     FrameError,
     SteadyStateError,
     assemble_liouvillian,
@@ -252,6 +253,24 @@ class TestSteadyState:
         # the buffer LAPACK factorises in place is the one copy (1x); the
         # gain blocks add 0.25x and the row blocks a few percent more
         assert peak - before <= 1.5 * 16 * (2 * n * n) ** 2
+
+    @pytest.mark.parametrize("n_cut", [12, 20])
+    def test_solve_holds_one_generator_copy_beyond_the_matrix(self, n_cut):
+        config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
+        liou = assemble_liouvillian(
+            config, tuple(build_tensors(config, lead) for lead in config.leads)
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            steady_state(liou)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beyond the factored generator: the buffer LAPACK factorises in
+        # place (one dense copy) and one row block with its temporaries;
+        # a block held over from the pass before would add a third
+        assert peak - before <= 16 * (2 * n_cut * n_cut) ** 2 + 2 * ROW_BLOCK_BYTES
 
     @pytest.mark.parametrize(
         "lam, solve_fails, error",
