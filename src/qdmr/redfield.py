@@ -3,8 +3,9 @@
 The state splits into two Fock-space blocks, rho0 (dot empty) and rho1
 (dot occupied); coherences between the two charge sectors decouple from
 the dynamics and are not represented.  Each lead contributes four
-transition tensors; they are never materialized at rank 4.  Instead the
-factor matrices below are contracted into N^2 x N^2 superoperator blocks:
+transition tensors; they are never materialized at rank 4, nor as
+N^2 x N^2 superoperator blocks.  The generator keeps the factor matrices
+below and builds its rows from them when a solve needs them:
 
     W_in[a, b]  = sum_i rate_in(eps[a, i]) D[i, a] D[i, b]
     W_out[a, b] = sum_i rate_out(eps[i, a]) D[a, i] D[b, i]
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -154,15 +157,15 @@ class Liouvillian:
 
     Row-major vectorization: element (j, m) of a block sits at j*N + m.
     The dense 2N^2 x 2N^2 complex matrix is never stored; ``rows`` builds
-    any run of its rows.  Held instead: the two lead-summed gain blocks
-    (real N^2 x N^2), the lead-summed loss on the only columns where it can
-    be nonzero (see ``_loss_lines``), and the coherent diagonal.
-    ``decoupled`` is set from the coupling (lam == 0): the displacement is
-    then the identity, every Fock population is stationary and the kernel
-    has dimension N.
+    any run of its rows.  Held instead, all O(N^3): each lead's gain
+    factors with their N x N^2 tiles (see ``_gain_factors``), the
+    lead-summed loss on the only columns where it can be nonzero (see
+    ``_loss_lines``), and the coherent diagonal.  ``decoupled`` is set from
+    the coupling (lam == 0): the displacement is then the identity, every
+    Fock population is stationary and the kernel has dimension N.
     """
 
-    gain: tuple[np.ndarray, np.ndarray]  # (into rho0 from rho1, into rho1 from rho0)
+    gain: tuple[_GainFactors, _GainFactors]  # into rho0 from rho1, into rho1 from rho0
     loss: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # _loss_lines of w_in^T, of w_out^T
     coherent: np.ndarray  # -i omega (j - m) at j*N + m
     n_cut: int
@@ -179,27 +182,140 @@ class Liouvillian:
         """Rows start:stop of the dense generator, as a C-order complex array.
 
         Bit for bit the matrix of the Kronecker assembly: its loss block is
-        -0.0 off the two loss lines, its gain rows are copies, and the
-        coherent diagonal is added last.
+        -0.0 off the two loss lines, each gain entry has the bits of the
+        same products summed in the same order, and the coherent diagonal
+        is added last.
+        """
+        n = self.n_cut
+        lo, hi = start - start % n, stop + (-stop) % n  # whole runs of N rows
+        out = np.empty((hi - lo, 2 * n * n), dtype=complex)
+        self._write_rows(out, lo, np.empty(3 * min(hi - lo, n * n) * n * n))
+        return out[start - lo : stop - lo]
+
+    def _write_rows(
+        self, out: np.ndarray, start: int, work: np.ndarray, stale: tuple[int, slice] | None = None
+    ) -> tuple[int, slice] | None:
+        """Write rows start:start+len(out), whole runs of N rows, over every
+        entry of ``out``; ``work`` is scratch for ``_write_gain``, at least
+        3 * min(len(out), N^2) * N^2 floats.
+
+        ``stale``, if given, is what the call before returned for the same
+        ``out``: the half whose loss block those rows lay in, and the
+        columns of that block holding their lines along b and their
+        diagonal.  Only those columns then differ from what this call
+        writes into a loss block of the same half, besides the lines along
+        a, which it writes at the same places.  Returns the same for the
+        rows just written, or None when they span both halves.
         """
         n = self.n_cut
         nn = n * n
-        out = np.zeros((stop - start, 2 * nn), dtype=complex)
-        for half, ((along_a, along_b), gain) in enumerate(zip(self.loss, self.gain)):
-            lo, hi = max(start, half * nn), min(stop, (half + 1) * nn)
-            if lo >= hi:
+        stop = start + len(out)
+        written = None
+        for half, (lines, factors) in enumerate(zip(self.loss, self.gain)):
+            first, last = max(start, half * nn), min(stop, (half + 1) * nn)
+            if first >= last:
                 continue
-            block = out[lo - start : hi - start]
-            r = slice(lo - half * nn, hi - half * nn)
-            j, m = np.divmod(np.arange(r.start, r.stop), n)
-            i = np.arange(hi - lo)[:, None]
-            loss = block.real[:, half * nn : (half + 1) * nn]
-            loss[:] = -0.0
-            loss[i, np.arange(n) * n + m[:, None]] = along_a[r]
-            loss[i, j[:, None] * n + np.arange(n)] = along_b[r]
-            block.real[:, (1 - half) * nn : (2 - half) * nn] = gain[r]
-            block[i[:, 0], np.arange(lo, hi)] += self.coherent[r]
-        return out
+            block = out[first - start : last - start]
+            js = slice(first // n - half * n, last // n - half * n)
+            own = block[:, half * nn : (half + 1) * nn]
+            if stale is not None and stale[0] == half and len(block) == len(out):
+                own[:, stale[1]] = -0.0
+            else:
+                own[:] = -0.0
+            _write_loss_lines(own.real, lines, js)
+            block.reshape(-1)[first :: 2 * nn + 1] += self.coherent[first - half * nn : last - half * nn]
+            _write_gain(block[:, (1 - half) * nn : (2 - half) * nn], factors, js, work)
+            written = (half, slice(js.start * n, js.stop * n)) if len(block) == len(out) else None
+        return written
+
+
+class _GainFactors(NamedTuple):
+    """One gain block's factors, stacked over leads: the pair (a, b) of each
+    lead, and their tiles tile(x)[m] = np.tile(x[m], N).
+
+    Row (j, m) of kron(a, b) + kron(b, a) is then
+    repeat(a[j], N) * tile(b)[m] + repeat(b[j], N) * tile(a)[m].  When
+    ``halved``, the tiles hold a / 2 and b / 2, and the row is already half
+    the sum, with the same bits (see ``_halving_is_exact``).
+    """
+
+    a: np.ndarray  # (leads, N, N)
+    b: np.ndarray
+    tile_a: np.ndarray  # (leads, N, N^2)
+    tile_b: np.ndarray
+    halved: bool
+
+
+def _gain_factors(pairs: list[tuple[np.ndarray, np.ndarray]]) -> _GainFactors:
+    n = pairs[0][0].shape[0]
+    a = np.stack([pair[0] for pair in pairs])
+    b = np.stack([pair[1] for pair in pairs])
+    halved = _halving_is_exact(a, b)
+    scale = 0.5 if halved else 1.0
+    return _GainFactors(a, b, np.tile(a * scale, n), np.tile(b * scale, n), halved)
+
+
+def _halving_is_exact(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether (x*y + u*v) / 2 == x*(y/2) + u*(v/2), bit for bit, whenever
+    each product pairs an entry of ``a`` with an entry of ``b``.
+
+    It holds when every factor is finite, every nonzero factor and every
+    product of nonzero factors is at least 2^-1021 in magnitude, and no
+    product exceeds 2^1022: the halves y/2 and v/2 are then exact, halving
+    commutes with the rounding of each product, and a sum of two exact
+    halves rounds to the half of the rounded sum (a sum that rounds at all
+    is at least 2^-1021).  Signed zeros may differ; the lead sum's +0.0
+    start (see ``_write_gain``) removes them.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return False
+    mags_a, mags_b = np.abs(a[a != 0]), np.abs(b[b != 0])
+    if mags_a.size == 0 or mags_b.size == 0:
+        return True
+    low, high = 2.0**-1021, 2.0**1022
+    with np.errstate(over="ignore", under="ignore"):  # inf and 0.0 fail the bounds as they should
+        return bool(
+            min(mags_a.min(), mags_b.min(), mags_a.min() * mags_b.min()) >= low
+            and mags_a.max() * mags_b.max() <= high
+        )
+
+
+def _write_gain(dest: np.ndarray, factors: _GainFactors, js: slice, work: np.ndarray) -> None:
+    """Write the gain block sum_leads (kron(a, b) + kron(b, a)) / 2 on the rows
+    (j, m) with j in ``js`` over ``dest``: the products and sums of the
+    Kronecker assembly, element by element and in its order.
+
+    That assembly adds each lead's term onto a +0.0 start; adding +0.0 to
+    the lead sum instead gives the same bits, signed zeros included.
+    """
+    leads, n = factors.a.shape[:2]
+    rep_a = factors.a[:, js].repeat(n, axis=2)
+    rep_b = factors.b[:, js].repeat(n, axis=2)
+    acc, term, other = work[: 3 * dest.size].reshape(3, -1, n, n * n)
+    for lead in range(leads):
+        out = acc if lead == 0 else term
+        # np.multiply's products, in fewer iterator steps; a -0.0 product
+        # may come out +0.0, which the +0.0 below makes moot
+        np.einsum("jc,mc->jmc", rep_a[lead], factors.tile_b[lead], out=out)
+        np.einsum("jc,mc->jmc", rep_b[lead], factors.tile_a[lead], out=other)
+        out += other
+        if not factors.halved:
+            out *= 0.5
+        if lead:
+            acc += term
+    np.add(acc.reshape(dest.shape), 0.0, out=dest)
+
+
+def _write_loss_lines(own: np.ndarray, lines: tuple[np.ndarray, np.ndarray], js: slice) -> None:
+    """Write ``_loss_lines`` into the loss block's rows (j, m) with j in ``js``:
+    along_a at the columns (a, m), then along_b at the columns (j, b)."""
+    along_a, along_b = lines
+    n = along_a.shape[1]
+    jc = js.stop - js.start
+    rows = slice(js.start * n, js.stop * n)
+    own = own.reshape(jc, n, n, n)  # [j, m, column's first index, column's second index]
+    np.einsum("jmam->jma", own)[...] = along_a[rows].reshape(jc, n, n)
+    np.einsum("jmjb->jmb", own[:, :, js])[...] = along_b[rows].reshape(jc, n, n)
 
 
 def _loss_lines(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -213,13 +329,15 @@ def _loss_lines(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     element by element and in the same order, so the values are its own.
     """
     n = factors[0].shape[0]
-    j, m = np.divmod(np.arange(n * n), n)
     eye = np.eye(n)
-    along_a = np.zeros((n * n, n))
-    along_b = np.zeros((n * n, n))
-    for a in factors:
-        along_a += 0.5 * (a[j, :] * eye[m, m][:, None] + eye[j, :] * a[m, m][:, None])
-        along_b += 0.5 * (a[j, j][:, None] * eye[m, :] + eye[j, j][:, None] * a[m, :])
+    along_a = np.zeros((n, n, n))  # [j, m, a]
+    along_b = np.zeros((n, n, n))  # [j, m, b]
+    for a in factors:  # the products with I[m, m] = 1 and I[j, j] = 1 are a itself
+        d = np.diagonal(a)
+        along_a += 0.5 * (a[:, None, :] + eye[:, None, :] * d[None, :, None])
+        along_b += 0.5 * (d[:, None, None] * eye[None, :, :] + a[None, :, :])
+    along_a = along_a.reshape(n * n, n)
+    along_b = along_b.reshape(n * n, n)
     return -along_a, -along_b
 
 
@@ -228,24 +346,15 @@ def assemble_liouvillian(
 ) -> Liouvillian:
     """Factored generator of coherent evolution and all leads' tensors.
 
-    Each gain block is the sum over leads of (kron(a, b) + kron(b, a)) / 2,
-    built once: 16 N^4 bytes for the two, against 64 N^4 for the dense
-    complex generator.
+    Each gain block, the sum over leads of (kron(a, b) + kron(b, a)) / 2,
+    is kept as the leads' factors and their tiles: 64 N^3 bytes for the
+    two, where the blocks themselves would take 16 N^4.
     """
     n = config.system.n_cut
     omega = config.system.omega
-
-    def lead_sum(pair) -> np.ndarray:
-        """Sum over leads of (kron(a, b) + kron(b, a)) / 2, with (a, b) = pair(lead)."""
-        acc = np.zeros((n * n, n * n))
-        for t in tensors:
-            a, b = pair(t)
-            acc += 0.5 * (np.kron(a, b) + np.kron(b, a))
-        return acc
-
     gain = (
-        lead_sum(lambda t: (t.v_out, t.displacement.T)),
-        lead_sum(lambda t: (t.v_in, t.displacement)),
+        _gain_factors([(t.v_out, t.displacement.T) for t in tensors]),
+        _gain_factors([(t.v_in, t.displacement) for t in tensors]),
     )
     loss = (_loss_lines([t.w_in.T for t in tensors]), _loss_lines([t.w_out.T for t in tensors]))
     jm = np.arange(n)
@@ -253,25 +362,50 @@ def assemble_liouvillian(
     return Liouvillian(gain=gain, loss=loss, coherent=coherent, n_cut=n, decoupled=config.system.lam == 0.0)
 
 
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of consecutive runs of k*N generator rows (k >= 1) that cover
-    all 2N^2 rows; every run has at least N >= 2 rows, because a one-row
-    product rounds differently from the same row inside a matrix product."""
-    dim = 2 * n * n
-    step = n * max(1, ROW_BLOCK_BYTES // (16 * dim * n))
-    return [(start, min(start + step, dim)) for start in range(0, dim, step)]
+class _RowBlocks:
+    """Passes over all 2N^2 generator rows in runs of k*N rows (k >= 1).
+
+    Every run has at least N >= 2 rows, because a one-row product rounds
+    differently from the same row inside a matrix product.  Each run is
+    written into one buffer and is valid until the next is drawn.
+    ``scratch`` is the rows' working space, free to the caller between
+    runs; it holds at least as many floats as a run has entries.  A
+    generator that fits in one run is built once, on the first pass.
+    """
+
+    def __init__(self, liou: Liouvillian):
+        n = liou.n_cut
+        nn = n * n
+        self.liou = liou
+        self.dim = 2 * nn
+        self.step = min(self.dim, n * max(1, ROW_BLOCK_BYTES // (16 * self.dim * n)))
+        self.rows = np.empty((self.step, self.dim), dtype=complex)
+        self.scratch = np.empty(max(3 * min(self.step, nn), 2 * self.step) * nn)
+        self.built = False
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        stale = None
+        for start in range(0, self.dim, self.step):
+            block = self.rows[: min(self.step, self.dim - start)]
+            if self.step < self.dim or not self.built:
+                stale = self.liou._write_rows(block, start, self.scratch, stale)
+            self.built = True
+            yield start, block
 
 
-def _apply(liou: Liouvillian, x: np.ndarray, border: int | None = None) -> np.ndarray:
+def _apply(blocks: _RowBlocks, x: np.ndarray, border: int | None = None) -> np.ndarray:
     """Generator times ``x``, one row block at a time; row ``border``, if
-    given, is replaced with the trace functional."""
+    given, is replaced with the trace functional for this product."""
     y = np.empty_like(x)
-    for start, stop in _row_blocks(liou.n_cut):
-        block = liou.rows(start, stop)
+    for start, block in blocks:
+        stop = start + len(block)
+        saved = None
         if border is not None and start <= border < stop:
-            block[border - start] = liou.trace_vector
+            saved = block[border - start].copy()
+            block[border - start] = blocks.liou.trace_vector
         y[start:stop] = block @ x
-        del block  # so the next block is built with this one freed
+        if saved is not None:
+            block[border - start] = saved  # a generator built once serves every pass
     return y
 
 
@@ -291,7 +425,8 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     nonsingular whenever the kernel is one-dimensional.  One pass over
     the row blocks fills a Fortran-order buffer that LAPACK factorises in
     place, so the solve holds one generator-sized array; the refinement
-    and residual products build the rows again.  A decoupled
+    and residual products build the rows again, unless they fit in one
+    row block.  A decoupled
     generator has an N-dimensional kernel, so its phonon sector is not
     unique; it returns, with method "decoupled", the representative with
     flat Fock populations, rho0 = (1-p1) I/N and rho1 = p1 I/N, where
@@ -310,13 +445,16 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     buf = None if liou.decoupled else np.empty((dim, dim), dtype=complex, order="F")
     row_sums = np.empty(dim)
     diag = np.empty(dim, dtype=complex)
-    for start, stop in _row_blocks(n):
-        block = liou.rows(start, stop)
-        row_sums[start:stop] = np.abs(block).sum(axis=1)
-        diag[start:stop] = block[np.arange(stop - start), np.arange(start, stop)]
+    blocks = _RowBlocks(liou)
+    for start, block in blocks:
+        stop = start + len(block)
+        diag[start:stop] = block.reshape(-1)[start :: dim + 1]
         if buf is not None:
             buf[start:stop] = block
-        del block  # so the next block, and the factorisation, run with this one freed
+        mags = blocks.scratch[: block.size].reshape(block.shape)
+        np.abs(block.real, out=mags)  # as np.abs(block) off the diagonal, where every entry is real
+        mags.reshape(-1)[start :: dim + 1] = np.abs(diag[start:stop])
+        row_sums[start:stop] = mags.sum(axis=1)
     gate = RESIDUAL_RTOL * float(row_sums.max())
     rows = np.flatnonzero(t)
     dominance = 2.0 * np.abs(diag[rows]) - row_sums[rows]
@@ -339,7 +477,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
             # iterative refinement: pushes the kernel residual to
             # rounding level so conservation identities hold tightly
             for _ in range(2):
-                x = x + scipy.linalg.lu_solve(lu, rhs - _apply(liou, x, border=row), check_finite=False)
+                x = x + scipy.linalg.lu_solve(lu, rhs - _apply(blocks, x, border=row), check_finite=False)
         method = "lu"
 
     rho0 = x[:nn].reshape(n, n)
@@ -351,7 +489,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     rho1 = rho1 / tr
 
     final = np.concatenate([rho0.reshape(-1), rho1.reshape(-1)])
-    residual = float(np.abs(_apply(liou, final)).max())
+    residual = float(np.abs(_apply(blocks, final)).max())
     if not residual <= gate:
         raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {gate:.3e}")
     min_eig = (

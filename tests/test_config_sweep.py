@@ -14,6 +14,7 @@ import pytest
 
 from qdmr import sweep
 from qdmr.configfile import (
+    OUTPUT_GROUPS,
     SWEEP_AXES,
     ConfigError,
     SweepAxis,
@@ -251,6 +252,11 @@ class TestRunPoint:
         row_a = run_point(config).row(("transport", "thermo"))
         row_b = run_point(config).row(("transport", "thermo"))
         assert row_a == row_b
+
+    def test_output_groups_are_the_column_groups_in_order(self):
+        # sweep_columns orders the CSV by _GROUP_COLUMNS; [sweep] outputs is
+        # validated against OUTPUT_GROUPS
+        assert tuple(sweep._GROUP_COLUMNS) == OUTPUT_GROUPS
 
     def test_outputs_select_columns(self):
         config = make_config(mu_tilde=-5.0, delta_mu=60.0, n_cut=10)

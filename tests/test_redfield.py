@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qdmr import redfield
 from qdmr.redfield import (
     ROW_BLOCK_BYTES,
     FrameError,
@@ -21,9 +22,11 @@ from qdmr.redfield import (
 from conftest import make_config
 from oracles import (
     fermi_ref,
+    liouvillian_dense,
     liouvillian_matrix_ref,
     lorentz_ref,
     master_rhs_ref,
+    steady_state_bordered_lu,
     steady_state_expm,
     tensors_dense_ref,
 )
@@ -43,6 +46,12 @@ def _random_hermitian_pair(n, seed):
 def _matrix(liou):
     """All rows of the generator, as one dense matrix."""
     return liou.rows(0, 2 * liou.n_cut**2)
+
+
+def _held_arrays(liou):
+    """Every array the generator holds."""
+    fields = [*liou.gain[0], *liou.gain[1], *liou.loss[0], *liou.loss[1], liou.coherent]
+    return [f for f in fields if isinstance(f, np.ndarray)]
 
 
 def _apply(liou, rho0, rho1):
@@ -147,6 +156,65 @@ class TestLiouvillian:
         r0, r1 = master_rhs_ref(config.system.omega, dense, rho0, rho1)
         np.testing.assert_allclose(d0, r0, atol=1e-12)
         np.testing.assert_allclose(d1, r1, atol=1e-12)
+
+    @pytest.mark.parametrize("n_cut", [12, 20, 40])
+    def test_generator_holds_no_n4_arrays(self, n_cut):
+        # the factors, their N x N^2 tiles and the loss lines: O(N^3) bytes,
+        # where one lead-summed N^2 x N^2 gain block alone takes 8 N^4
+        config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
+        liou = assemble_liouvillian(
+            config, tuple(build_tensors(config, lead) for lead in config.leads)
+        )
+        assert sum(a.nbytes for a in _held_arrays(liou)) <= 200 * n_cut**3
+
+    @pytest.mark.parametrize("halved", [True, False], ids=["halved_tiles", "halved_sums"])
+    def test_both_gain_paths_match_the_dense_oracle(self, halved, monkeypatch):
+        # halved tiles skip the scaling of each lead's sum; with the guard
+        # forced off, the sums are scaled as in the Kronecker assembly
+        if not halved:
+            monkeypatch.setattr(redfield, "_halving_is_exact", lambda a, b: False)
+        config = make_config(**ASYM)
+        tensors = tuple(build_tensors(config, lead) for lead in config.leads)
+        liou = assemble_liouvillian(config, tensors)
+        assert [g.halved for g in liou.gain] == [halved, halved]
+        dense = liouvillian_dense(config, tensors)
+        assert _matrix(liou).tobytes() == dense.tobytes()
+        rho0, rho1, row, residual = steady_state_bordered_lu(dense, config.system.n_cut)
+        state, info = steady_state(liou)
+        assert (info.norm_row, info.residual) == (row, residual)
+        assert state.rho0.tobytes() == rho0.tobytes()
+        assert state.rho1.tobytes() == rho1.tobytes()
+
+    def test_tiny_coupling_scales_the_sums_and_matches_the_dense_oracle(self):
+        # lam = 1e-10 leaves displacement entries far below 2^-1021, where
+        # halving a factor would round
+        config = make_config(lam=1e-10, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
+        tensors = tuple(build_tensors(config, lead) for lead in config.leads)
+        liou = assemble_liouvillian(config, tensors)
+        assert not any(g.halved for g in liou.gain)
+        assert _matrix(liou).tobytes() == liouvillian_dense(config, tensors).tobytes()
+
+    def test_halving_guard_admits_only_bitwise_equal_halves(self):
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for _ in range(300):
+            # magnitudes within 10^+-w of 10^c, so that some products land
+            # near the subnormal range and some near overflow
+            a, b = (
+                rng.standard_normal((2, 6, 6)) * 10.0 ** (c + rng.uniform(-w, w, (2, 6, 6)))
+                for c, w in rng.uniform((-170, 0), (170, 20), (2, 2))
+            )
+            a[rng.random(a.shape) < 0.1] = 0.0
+            exact = redfield._halving_is_exact(a, b)
+            verdicts.add(exact)
+            if exact:
+                x, v = rng.choice(a.ravel(), (2, 50))
+                u, y = rng.choice(b.ravel(), (2, 50))
+                halved = x * (y / 2) + u * (v / 2) + 0.0
+                scaled = 0.5 * (x * y + u * v) + 0.0
+                assert halved.tobytes() == scaled.tobytes()
+        assert verdicts == {True, False}
+        assert not redfield._halving_is_exact(np.array([1.0, 5e-324]), np.array([1.0]))
 
     def test_generator_preserves_trace(self):
         config = make_config(**ASYM)
@@ -254,6 +322,20 @@ class TestSteadyState:
         # gain blocks add 0.25x and the row blocks a few percent more
         assert peak - before <= 1.5 * 16 * (2 * n * n) ** 2
 
+    def test_solve_holds_little_beyond_one_generator_copy(self):
+        # the LU buffer (1x) plus the factored generator, one row block and
+        # its scratch; the lead-summed gain blocks took another 0.25x
+        n = 30
+        config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.1 * 16 * (2 * n * n) ** 2
+
     @pytest.mark.parametrize("n_cut", [12, 20])
     def test_solve_holds_one_generator_copy_beyond_the_matrix(self, n_cut):
         config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
@@ -284,7 +366,7 @@ class TestSteadyState:
         liou = assemble_liouvillian(
             config, tuple(build_tensors(config, lead) for lead in config.leads)
         )
-        arrays = [*liou.gain, *liou.loss[0], *liou.loss[1], liou.coherent]
+        arrays = _held_arrays(liou)
         before = [a.tobytes() for a in arrays]
         matrix = _matrix(liou).tobytes()
         if solve_fails:
