@@ -192,25 +192,13 @@ class Liouvillian:
         self._write_rows(out, lo, np.empty(3 * min(hi - lo, n * n) * n * n))
         return out[start - lo : stop - lo]
 
-    def _write_rows(
-        self, out: np.ndarray, start: int, work: np.ndarray, stale: tuple[int, slice] | None = None
-    ) -> tuple[int, slice] | None:
+    def _write_rows(self, out: np.ndarray, start: int, work: np.ndarray) -> None:
         """Write rows start:start+len(out), whole runs of N rows, over every
         entry of ``out``; ``work`` is scratch for ``_write_gain``, at least
-        3 * min(len(out), N^2) * N^2 floats.
-
-        ``stale``, if given, is what the call before returned for the same
-        ``out``: the half whose loss block those rows lay in, and the
-        columns of that block holding their lines along b and their
-        diagonal.  Only those columns then differ from what this call
-        writes into a loss block of the same half, besides the lines along
-        a, which it writes at the same places.  Returns the same for the
-        rows just written, or None when they span both halves.
-        """
+        3 * min(len(out), N^2) * N^2 floats."""
         n = self.n_cut
         nn = n * n
         stop = start + len(out)
-        written = None
         for half, (lines, factors) in enumerate(zip(self.loss, self.gain)):
             first, last = max(start, half * nn), min(stop, (half + 1) * nn)
             if first >= last:
@@ -218,15 +206,10 @@ class Liouvillian:
             block = out[first - start : last - start]
             js = slice(first // n - half * n, last // n - half * n)
             own = block[:, half * nn : (half + 1) * nn]
-            if stale is not None and stale[0] == half and len(block) == len(out):
-                own[:, stale[1]] = -0.0
-            else:
-                own[:] = -0.0
+            own[:] = -0.0
             _write_loss_lines(own.real, lines, js)
             block.reshape(-1)[first :: 2 * nn + 1] += self.coherent[first - half * nn : last - half * nn]
             _write_gain(block[:, (1 - half) * nn : (2 - half) * nn], factors, js, work)
-            written = (half, slice(js.start * n, js.stop * n)) if len(block) == len(out) else None
-        return written
 
 
 class _GainFactors(NamedTuple):
@@ -256,28 +239,19 @@ def _gain_factors(pairs: list[tuple[np.ndarray, np.ndarray]]) -> _GainFactors:
 
 
 def _halving_is_exact(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether (x*y + u*v) / 2 == x*(y/2) + u*(v/2), bit for bit, whenever
-    each product pairs an entry of ``a`` with an entry of ``b``.
+    """Whether every nonzero factor lies in [2^-510, 2^510] in magnitude.
 
-    It holds when every factor is finite, every nonzero factor and every
-    product of nonzero factors is at least 2^-1021 in magnitude, and no
-    product exceeds 2^1022: the halves y/2 and v/2 are then exact, halving
-    commutes with the rounding of each product, and a sum of two exact
-    halves rounds to the half of the rounded sum (a sum that rounds at all
-    is at least 2^-1021).  Signed zeros may differ; the lead sum's +0.0
-    start (see ``_write_gain``) removes them.
+    Then (x*y + u*v) / 2 == x*(y/2) + u*(v/2), bit for bit, whenever each
+    product pairs an entry of ``a`` with an entry of ``b``: the halves are
+    exact, each nonzero product is normal and at most 2^1020 in magnitude,
+    so halving commutes with its rounding, and a sum of two such products
+    rounds to twice the rounded sum of their halves (a sum below 2^-1021
+    is a multiple of 2^-1072, exact with its half).  Zero products keep
+    their signs.
     """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return False
-    mags_a, mags_b = np.abs(a[a != 0]), np.abs(b[b != 0])
-    if mags_a.size == 0 or mags_b.size == 0:
-        return True
-    low, high = 2.0**-1021, 2.0**1022
-    with np.errstate(over="ignore", under="ignore"):  # inf and 0.0 fail the bounds as they should
-        return bool(
-            min(mags_a.min(), mags_b.min(), mags_a.min() * mags_b.min()) >= low
-            and mags_a.max() * mags_b.max() <= high
-        )
+    mags = np.abs(np.concatenate((a, b), axis=None))
+    mags = mags[mags != 0]  # nan stays, and fails the bounds
+    return bool(((2.0**-510 <= mags) & (mags <= 2.0**510)).all())
 
 
 def _write_gain(dest: np.ndarray, factors: _GainFactors, js: slice, work: np.ndarray) -> None:
@@ -369,8 +343,7 @@ class _RowBlocks:
     differently from the same row inside a matrix product.  Each run is
     written into one buffer and is valid until the next is drawn.
     ``scratch`` is the rows' working space, free to the caller between
-    runs; it holds at least as many floats as a run has entries.  A
-    generator that fits in one run is built once, on the first pass.
+    runs; it holds at least as many floats as a run has entries.
     """
 
     def __init__(self, liou: Liouvillian):
@@ -381,15 +354,11 @@ class _RowBlocks:
         self.step = min(self.dim, n * max(1, ROW_BLOCK_BYTES // (16 * self.dim * n)))
         self.rows = np.empty((self.step, self.dim), dtype=complex)
         self.scratch = np.empty(max(3 * min(self.step, nn), 2 * self.step) * nn)
-        self.built = False
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        stale = None
         for start in range(0, self.dim, self.step):
             block = self.rows[: min(self.step, self.dim - start)]
-            if self.step < self.dim or not self.built:
-                stale = self.liou._write_rows(block, start, self.scratch, stale)
-            self.built = True
+            self.liou._write_rows(block, start, self.scratch)
             yield start, block
 
 
@@ -399,13 +368,9 @@ def _apply(blocks: _RowBlocks, x: np.ndarray, border: int | None = None) -> np.n
     y = np.empty_like(x)
     for start, block in blocks:
         stop = start + len(block)
-        saved = None
         if border is not None and start <= border < stop:
-            saved = block[border - start].copy()
             block[border - start] = blocks.liou.trace_vector
         y[start:stop] = block @ x
-        if saved is not None:
-            block[border - start] = saved  # a generator built once serves every pass
     return y
 
 
@@ -425,8 +390,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     nonsingular whenever the kernel is one-dimensional.  One pass over
     the row blocks fills a Fortran-order buffer that LAPACK factorises in
     place, so the solve holds one generator-sized array; the refinement
-    and residual products build the rows again, unless they fit in one
-    row block.  A decoupled
+    and residual products build the rows again.  A decoupled
     generator has an N-dimensional kernel, so its phonon sector is not
     unique; it returns, with method "decoupled", the representative with
     flat Fock populations, rho0 = (1-p1) I/N and rho1 = p1 I/N, where
