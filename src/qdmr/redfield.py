@@ -156,10 +156,10 @@ class Liouvillian:
     """Generator on the stacked vector [vec(rho0); vec(rho1)], kept in factored form.
 
     Row-major vectorization: element (j, m) of a block sits at j*N + m.
-    The dense 2N^2 x 2N^2 complex matrix is never stored; ``rows`` builds
-    any run of its rows.  Held instead, all O(N^3): each lead's gain
-    factors with their N x N^2 tiles (see ``_gain_factors``), the
-    lead-summed loss on the only columns where it can be nonzero (see
+    The dense 2N^2 x 2N^2 complex matrix is never stored; ``_RowBlocks``
+    builds it a run of rows at a time.  Held instead, all O(N^3): each
+    lead's gain factors with their N x N^2 tiles (see ``_GainFactors``),
+    the lead-summed loss on the only columns where it can be nonzero (see
     ``_loss_lines``), and the coherent diagonal.  ``decoupled`` is set from
     the coupling (lam == 0): the displacement is then the identity, every
     Fock population is stationary and the kernel has dimension N.
@@ -178,8 +178,10 @@ class Liouvillian:
         t_block = np.eye(n).reshape(-1)
         return np.concatenate([t_block, t_block]).astype(complex)
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of the dense generator, as a C-order complex array.
+    def _write_rows(self, out: np.ndarray, start: int, work: np.ndarray) -> None:
+        """Write rows start:start+len(out), whole runs of N rows, over every
+        entry of ``out``; ``work`` is scratch for ``_write_gain``, at least
+        3 * min(len(out), N^2) * N^2 floats.
 
         Bit for bit the matrix of the Kronecker assembly: its loss block is
         -0.0 off the two loss lines, each gain entry has the bits of the
@@ -187,28 +189,24 @@ class Liouvillian:
         is added last.
         """
         n = self.n_cut
-        lo, hi = start - start % n, stop + (-stop) % n  # whole runs of N rows
-        out = np.empty((hi - lo, 2 * n * n), dtype=complex)
-        self._write_rows(out, lo, np.empty(3 * min(hi - lo, n * n) * n * n))
-        return out[start - lo : stop - lo]
-
-    def _write_rows(self, out: np.ndarray, start: int, work: np.ndarray) -> None:
-        """Write rows start:start+len(out), whole runs of N rows, over every
-        entry of ``out``; ``work`` is scratch for ``_write_gain``, at least
-        3 * min(len(out), N^2) * N^2 floats."""
-        n = self.n_cut
         nn = n * n
         stop = start + len(out)
-        for half, (lines, factors) in enumerate(zip(self.loss, self.gain)):
+        for half, ((along_a, along_b), factors) in enumerate(zip(self.loss, self.gain)):
             first, last = max(start, half * nn), min(stop, (half + 1) * nn)
             if first >= last:
                 continue
             block = out[first - start : last - start]
             js = slice(first // n - half * n, last // n - half * n)
+            jc = js.stop - js.start
+            lines = slice(first - half * nn, last - half * nn)
             own = block[:, half * nn : (half + 1) * nn]
             own[:] = -0.0
-            _write_loss_lines(own.real, lines, js)
-            block.reshape(-1)[first :: 2 * nn + 1] += self.coherent[first - half * nn : last - half * nn]
+            # [j, m, column's first index, column's second index]: along_a
+            # at the columns (a, m), then along_b at the columns (j, b)
+            own4 = own.real.reshape(jc, n, n, n)
+            np.einsum("jmam->jma", own4)[...] = along_a[lines].reshape(jc, n, n)
+            np.einsum("jmjb->jmb", own4[:, :, js])[...] = along_b[lines].reshape(jc, n, n)
+            block.reshape(-1)[first :: 2 * nn + 1] += self.coherent[lines]
             _write_gain(block[:, (1 - half) * nn : (2 - half) * nn], factors, js, work)
 
 
@@ -217,41 +215,20 @@ class _GainFactors(NamedTuple):
     lead, and their tiles tile(x)[m] = np.tile(x[m], N).
 
     Row (j, m) of kron(a, b) + kron(b, a) is then
-    repeat(a[j], N) * tile(b)[m] + repeat(b[j], N) * tile(a)[m].  When
-    ``halved``, the tiles hold a / 2 and b / 2, and the row is already half
-    the sum, with the same bits (see ``_halving_is_exact``).
+    repeat(a[j], N) * tile(b)[m] + repeat(b[j], N) * tile(a)[m].
     """
 
     a: np.ndarray  # (leads, N, N)
     b: np.ndarray
     tile_a: np.ndarray  # (leads, N, N^2)
     tile_b: np.ndarray
-    halved: bool
 
 
 def _gain_factors(pairs: list[tuple[np.ndarray, np.ndarray]]) -> _GainFactors:
     n = pairs[0][0].shape[0]
     a = np.stack([pair[0] for pair in pairs])
     b = np.stack([pair[1] for pair in pairs])
-    halved = _halving_is_exact(a, b)
-    scale = 0.5 if halved else 1.0
-    return _GainFactors(a, b, np.tile(a * scale, n), np.tile(b * scale, n), halved)
-
-
-def _halving_is_exact(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether every nonzero factor lies in [2^-510, 2^510] in magnitude.
-
-    Then (x*y + u*v) / 2 == x*(y/2) + u*(v/2), bit for bit, whenever each
-    product pairs an entry of ``a`` with an entry of ``b``: the halves are
-    exact, each nonzero product is normal and at most 2^1020 in magnitude,
-    so halving commutes with its rounding, and a sum of two such products
-    rounds to twice the rounded sum of their halves (a sum below 2^-1021
-    is a multiple of 2^-1072, exact with its half).  Zero products keep
-    their signs.
-    """
-    mags = np.abs(np.concatenate((a, b), axis=None))
-    mags = mags[mags != 0]  # nan stays, and fails the bounds
-    return bool(((2.0**-510 <= mags) & (mags <= 2.0**510)).all())
+    return _GainFactors(a, b, np.tile(a, n), np.tile(b, n))
 
 
 def _write_gain(dest: np.ndarray, factors: _GainFactors, js: slice, work: np.ndarray) -> None:
@@ -273,23 +250,10 @@ def _write_gain(dest: np.ndarray, factors: _GainFactors, js: slice, work: np.nda
         np.einsum("jc,mc->jmc", rep_a[lead], factors.tile_b[lead], out=out)
         np.einsum("jc,mc->jmc", rep_b[lead], factors.tile_a[lead], out=other)
         out += other
-        if not factors.halved:
-            out *= 0.5
+        out *= 0.5
         if lead:
             acc += term
     np.add(acc.reshape(dest.shape), 0.0, out=dest)
-
-
-def _write_loss_lines(own: np.ndarray, lines: tuple[np.ndarray, np.ndarray], js: slice) -> None:
-    """Write ``_loss_lines`` into the loss block's rows (j, m) with j in ``js``:
-    along_a at the columns (a, m), then along_b at the columns (j, b)."""
-    along_a, along_b = lines
-    n = along_a.shape[1]
-    jc = js.stop - js.start
-    rows = slice(js.start * n, js.stop * n)
-    own = own.reshape(jc, n, n, n)  # [j, m, column's first index, column's second index]
-    np.einsum("jmam->jma", own)[...] = along_a[rows].reshape(jc, n, n)
-    np.einsum("jmjb->jmb", own[:, :, js])[...] = along_b[rows].reshape(jc, n, n)
 
 
 def _loss_lines(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

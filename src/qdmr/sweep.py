@@ -140,6 +140,7 @@ def run_point(
     and the torotropy (when requested) moves by less than 1% between
     consecutive sizes, capping at 80.
     """
+    n = config.system.n_cut  # the cutoff being solved, for an error row
     try:
         if n_cut_policy == "fixed" or config.system.lam == 0.0:
             return _solve_point(config, outputs)
@@ -162,7 +163,7 @@ def run_point(
                 return replace(result, status="n_cut_cap")
             n += ADAPTIVE_STEP
     except Exception as exc:  # recorded per point, never fatal to a sweep
-        return _failed(config.system.n_cut, exc)
+        return _failed(n, exc)
 
 
 def _failed(n_cut: int, exc: Exception) -> PointResult:

@@ -8,7 +8,7 @@ import pytest
 from qdmr.model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk
 from qdmr.observables import build_report
 from qdmr.phasespace import reduce_resonator, torotropy
-from qdmr.redfield import solve
+from qdmr.redfield import _RowBlocks, solve
 
 
 def make_config(
@@ -52,6 +52,15 @@ def solve_point(config: ModelConfig):
     """One full solve: (tensors_l, tensors_r, polaron, lab, info); lab is None at lam = 0."""
     sol = solve(config)
     return (*sol.tensors, sol.polaron, sol.lab, sol.info)
+
+
+def generator_matrix(liou) -> np.ndarray:
+    """The dense generator, read through the row-block pass that fills the solve's LU buffer."""
+    blocks = _RowBlocks(liou)
+    out = np.empty((blocks.dim, blocks.dim), dtype=complex)
+    for start, block in blocks:
+        out[start : start + len(block)] = block
+    return out
 
 
 def polaron_coherence(state) -> float:

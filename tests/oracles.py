@@ -276,7 +276,8 @@ def liouvillian_dense(config, tensors) -> np.ndarray:
 
     Each lead adds (kron(a, b) + kron(b, a)) / 2 to the block it feeds, in
     lead order; the two loss blocks are negated; the coherent diagonal is
-    added last.  ``Liouvillian.rows`` must reproduce it bit for bit.
+    added last.  The row blocks of the solve (``redfield._RowBlocks``) must
+    reproduce it bit for bit.
     """
     n = config.system.n_cut
     omega = config.system.omega

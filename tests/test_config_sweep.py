@@ -24,7 +24,7 @@ from qdmr.configfile import (
     load_config,
 )
 from qdmr.sweep import run_point, run_sweep
-from qdmr.validation import two_state_current
+from qdmr.validation import reference_config, two_state_current
 
 from conftest import make_config
 
@@ -292,6 +292,15 @@ class TestRunPoint:
         config = make_config(lam=lam, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
         result = run_point(config)
         assert result.status == "error:SteadyStateError"
+
+    def test_adaptive_error_row_names_the_cutoff_that_failed(self):
+        # the ladder starts at ADAPTIVE_START whatever the configured cutoff,
+        # and this point fails the positivity gate on its first rung
+        config = reference_config(delta_mu=-50.0, lam=1e-10, n_cut=6)
+        result = run_point(config, n_cut_policy="adaptive")
+        assert result.status == "error:SteadyStateError"
+        assert result.n_cut == sweep.ADAPTIVE_START == 20
+        assert run_point(config).n_cut == 6
 
     def test_small_coupling_above_degeneracy_stays_ok(self):
         config = make_config(lam=1e-6, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qdmr import redfield
 from qdmr.redfield import (
     ROW_BLOCK_BYTES,
     FrameError,
@@ -19,7 +18,7 @@ from qdmr.redfield import (
     to_lab_frame,
 )
 
-from conftest import make_config
+from conftest import generator_matrix, make_config
 from oracles import (
     fermi_ref,
     liouvillian_dense,
@@ -42,21 +41,15 @@ def _random_hermitian_pair(n, seed):
     return a + a.conj().T, b + b.conj().T
 
 
-def _matrix(liou):
-    """All rows of the generator, as one dense matrix."""
-    return liou.rows(0, 2 * liou.n_cut**2)
-
-
 def _held_arrays(liou):
     """Every array the generator holds."""
-    fields = [*liou.gain[0], *liou.gain[1], *liou.loss[0], *liou.loss[1], liou.coherent]
-    return [f for f in fields if isinstance(f, np.ndarray)]
+    return [*liou.gain[0], *liou.gain[1], *liou.loss[0], *liou.loss[1], liou.coherent]
 
 
 def _apply(liou, rho0, rho1):
     """Time derivative of both blocks: the generator on the stacked row-major vector."""
     n = liou.n_cut
-    y = _matrix(liou) @ np.concatenate([rho0.ravel(), rho1.ravel()])
+    y = generator_matrix(liou) @ np.concatenate([rho0.ravel(), rho1.ravel()])
     return y[: n * n].reshape(n, n), y[n * n :].reshape(n, n)
 
 
@@ -138,7 +131,7 @@ class TestLiouvillian:
             for lead, t in zip(config.leads, tensors)
         ]
         ref = liouvillian_matrix_ref(config.system.omega, dense, config.system.n_cut)
-        np.testing.assert_allclose(_matrix(liou), ref, atol=1e-13)
+        np.testing.assert_allclose(generator_matrix(liou), ref, atol=1e-13)
 
     def test_apply_matches_elementwise_reference(self):
         config = make_config(**ASYM)
@@ -168,46 +161,19 @@ class TestLiouvillian:
 
     def test_tiny_coupling_scales_the_sums_and_matches_the_dense_oracle(self):
         # lam = 1e-10 leaves displacement entries far below 2^-510, and
-        # gain products deep in the subnormal range, where halving rounds
+        # gain products deep in the subnormal range, where the scaling of
+        # each lead's sum by 0.5 rounds
         config = make_config(lam=1e-10, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
         tensors = tuple(build_tensors(config, lead) for lead in config.leads)
         liou = assemble_liouvillian(config, tensors)
-        assert not any(g.halved for g in liou.gain)
-        assert _matrix(liou).tobytes() == liouvillian_dense(config, tensors).tobytes()
-
-    def test_halving_guard_admits_only_bitwise_equal_halves(self):
-        rng = np.random.default_rng(11)
-        verdicts = set()
-        for _ in range(300):
-            # magnitudes within 2^+-w of 2^c, so that some factors cross the
-            # guard's bounds and some products land near 2^-1020 or 2^1020
-            a, b = (
-                rng.uniform(1, 2, (2, 6, 6)) * rng.choice([-1.0, 1.0], (2, 6, 6))
-                * 2.0 ** np.round(c + rng.uniform(-w, w, (2, 6, 6)))
-                for c, w in rng.uniform((-520, 0), (520, 12), (2, 2))
-            )
-            a[rng.random(a.shape) < 0.1] = 0.0
-            exact = redfield._halving_is_exact(a, b)
-            verdicts.add(exact)
-            if exact:
-                x, v = rng.choice(a.ravel(), (2, 200))
-                u, y = rng.choice(b.ravel(), (2, 200))
-                u[:50], y[:50] = -x[:50], v[:50] * (1 + 2.0**-52)  # sums that cancel
-                halved = x * (y / 2) + u * (v / 2)
-                scaled = 0.5 * (x * y + u * v)
-                assert halved.tobytes() == scaled.tobytes()
-        assert verdicts == {True, False}
-        assert redfield._halving_is_exact(np.array([2.0**-510, 0.0]), np.array([-(2.0**510)]))
-        assert not redfield._halving_is_exact(np.array([1.0, 2.0**-511]), np.array([1.0]))
-        assert not redfield._halving_is_exact(np.array([1.0]), np.array([np.inf]))
-        assert not redfield._halving_is_exact(np.array([1.0]), np.array([np.nan]))
+        assert generator_matrix(liou).tobytes() == liouvillian_dense(config, tensors).tobytes()
 
     def test_generator_preserves_trace(self):
         config = make_config(**ASYM)
         liou = assemble_liouvillian(
             config, tuple(build_tensors(config, lead) for lead in config.leads)
         )
-        residual = np.abs(liou.trace_vector @ _matrix(liou)).max()
+        residual = np.abs(liou.trace_vector @ generator_matrix(liou)).max()
         assert residual < 1e-12
 
     def test_generator_preserves_hermiticity(self):
@@ -252,7 +218,7 @@ class TestSteadyState:
         t = liou.trace_vector
         population = np.flatnonzero(t)
         other_row = int(population[population != info.norm_row][-1])
-        bordered = _matrix(liou)
+        bordered = generator_matrix(liou)
         bordered[other_row] = t
         x = np.linalg.solve(bordered, np.eye(t.size)[other_row])
         n = config.system.n_cut
@@ -343,7 +309,7 @@ class TestSteadyState:
         )
         arrays = _held_arrays(liou)
         before = [a.tobytes() for a in arrays]
-        matrix = _matrix(liou).tobytes()
+        matrix = generator_matrix(liou).tobytes()
         if solve_fails:
             def out_of_memory(*args, **kwargs):
                 raise MemoryError
@@ -352,7 +318,7 @@ class TestSteadyState:
         with pytest.raises(error) if error else contextlib.nullcontext():
             steady_state(liou)
         assert [a.tobytes() for a in arrays] == before
-        assert _matrix(liou).tobytes() == matrix
+        assert generator_matrix(liou).tobytes() == matrix
 
 
 class TestFramesAndSerialization:
