@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 validation or computation
-failure, 3 sweep completed with failed points.
+Exit codes: 0 success, 1 usage error or unwritable output, 2 validation
+or computation failure, 3 sweep completed with failed points.
 """
 
 from __future__ import annotations
@@ -208,6 +208,9 @@ def main(argv=None) -> int:
     except redfield.SteadyStateError as exc:
         print(f"qdmr: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output, or the sweep journal, cannot be written
+        print(f"qdmr: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -156,7 +156,7 @@ class Liouvillian:
     """Generator on the stacked vector [vec(rho0); vec(rho1)], kept in factored form.
 
     Row-major vectorization: element (j, m) of a block sits at j*N + m.
-    The dense 2N^2 x 2N^2 complex matrix is never stored; ``_RowBlocks``
+    The dense 2N^2 x 2N^2 complex matrix is never stored; ``_row_blocks``
     builds it a run of rows at a time.  Held instead, all O(N^3): each
     lead's gain factors with their N x N^2 tiles (see ``_GainFactors``),
     the lead-summed loss on the only columns where it can be nonzero (see
@@ -177,37 +177,6 @@ class Liouvillian:
         n = self.n_cut
         t_block = np.eye(n).reshape(-1)
         return np.concatenate([t_block, t_block]).astype(complex)
-
-    def _write_rows(self, out: np.ndarray, start: int, work: np.ndarray) -> None:
-        """Write rows start:start+len(out), whole runs of N rows, over every
-        entry of ``out``; ``work`` is scratch for ``_write_gain``, at least
-        3 * min(len(out), N^2) * N^2 floats.
-
-        Bit for bit the matrix of the Kronecker assembly: its loss block is
-        -0.0 off the two loss lines, each gain entry has the bits of the
-        same products summed in the same order, and the coherent diagonal
-        is added last.
-        """
-        n = self.n_cut
-        nn = n * n
-        stop = start + len(out)
-        for half, ((along_a, along_b), factors) in enumerate(zip(self.loss, self.gain)):
-            first, last = max(start, half * nn), min(stop, (half + 1) * nn)
-            if first >= last:
-                continue
-            block = out[first - start : last - start]
-            js = slice(first // n - half * n, last // n - half * n)
-            jc = js.stop - js.start
-            lines = slice(first - half * nn, last - half * nn)
-            own = block[:, half * nn : (half + 1) * nn]
-            own[:] = -0.0
-            # [j, m, column's first index, column's second index]: along_a
-            # at the columns (a, m), then along_b at the columns (j, b)
-            own4 = own.real.reshape(jc, n, n, n)
-            np.einsum("jmam->jma", own4)[...] = along_a[lines].reshape(jc, n, n)
-            np.einsum("jmjb->jmb", own4[:, :, js])[...] = along_b[lines].reshape(jc, n, n)
-            block.reshape(-1)[first :: 2 * nn + 1] += self.coherent[lines]
-            _write_gain(block[:, (1 - half) * nn : (2 - half) * nn], factors, js, work)
 
 
 class _GainFactors(NamedTuple):
@@ -231,7 +200,7 @@ def _gain_factors(pairs: list[tuple[np.ndarray, np.ndarray]]) -> _GainFactors:
     return _GainFactors(a, b, np.tile(a, n), np.tile(b, n))
 
 
-def _write_gain(dest: np.ndarray, factors: _GainFactors, js: slice, work: np.ndarray) -> None:
+def _write_gain(dest: np.ndarray, factors: _GainFactors, js: slice) -> None:
     """Write the gain block sum_leads (kron(a, b) + kron(b, a)) / 2 on the rows
     (j, m) with j in ``js`` over ``dest``: the products and sums of the
     Kronecker assembly, element by element and in its order.
@@ -242,17 +211,16 @@ def _write_gain(dest: np.ndarray, factors: _GainFactors, js: slice, work: np.nda
     leads, n = factors.a.shape[:2]
     rep_a = factors.a[:, js].repeat(n, axis=2)
     rep_b = factors.b[:, js].repeat(n, axis=2)
-    acc, term, other = work[: 3 * dest.size].reshape(3, -1, n, n * n)
     for lead in range(leads):
-        out = acc if lead == 0 else term
         # np.multiply's products, in fewer iterator steps; a -0.0 product
         # may come out +0.0, which the +0.0 below makes moot
-        np.einsum("jc,mc->jmc", rep_a[lead], factors.tile_b[lead], out=out)
-        np.einsum("jc,mc->jmc", rep_b[lead], factors.tile_a[lead], out=other)
-        out += other
-        out *= 0.5
+        term = np.einsum("jc,mc->jmc", rep_a[lead], factors.tile_b[lead])
+        term += np.einsum("jc,mc->jmc", rep_b[lead], factors.tile_a[lead])
+        term *= 0.5
         if lead:
             acc += term
+        else:
+            acc = term
     np.add(acc.reshape(dest.shape), 0.0, out=dest)
 
 
@@ -300,40 +268,51 @@ def assemble_liouvillian(
     return Liouvillian(gain=gain, loss=loss, coherent=coherent, n_cut=n, decoupled=config.system.lam == 0.0)
 
 
-class _RowBlocks:
-    """Passes over all 2N^2 generator rows in runs of k*N rows (k >= 1).
+def _row_blocks(liou: Liouvillian) -> Iterator[tuple[int, np.ndarray]]:
+    """All 2N^2 generator rows as (start, rows), in runs of k*N rows (k >= 1).
 
     Every run has at least N >= 2 rows, because a one-row product rounds
     differently from the same row inside a matrix product.  Each run is
-    written into one buffer and is valid until the next is drawn.
-    ``scratch`` is the rows' working space, free to the caller between
-    runs; it holds at least as many floats as a run has entries.
+    written into one buffer, valid until the next is drawn, and is bit for
+    bit the matrix of the Kronecker assembly: its loss block is -0.0 off the
+    two loss lines, each gain entry has the bits of the same products summed
+    in the same order, and the coherent diagonal is added last.
     """
+    n = liou.n_cut
+    nn = n * n
+    dim = 2 * nn
+    step = min(dim, n * max(1, ROW_BLOCK_BYTES // (16 * dim * n)))
+    buf = np.empty((step, dim), dtype=complex)
+    for start in range(0, dim, step):
+        rows = buf[: min(step, dim - start)]
+        for half, ((along_a, along_b), factors) in enumerate(zip(liou.loss, liou.gain)):
+            first, last = max(start, half * nn), min(start + len(rows), (half + 1) * nn)
+            if first >= last:
+                continue
+            block = rows[first - start : last - start]
+            js = slice(first // n - half * n, last // n - half * n)
+            jc = js.stop - js.start
+            lines = slice(first - half * nn, last - half * nn)
+            own = block[:, half * nn : (half + 1) * nn]
+            own[:] = -0.0
+            # [j, m, column's first index, column's second index]: along_a
+            # at the columns (a, m), then along_b at the columns (j, b)
+            own4 = own.real.reshape(jc, n, n, n)
+            np.einsum("jmam->jma", own4)[...] = along_a[lines].reshape(jc, n, n)
+            np.einsum("jmjb->jmb", own4[:, :, js])[...] = along_b[lines].reshape(jc, n, n)
+            block.reshape(-1)[first :: dim + 1] += liou.coherent[lines]
+            _write_gain(block[:, (1 - half) * nn : (2 - half) * nn], factors, js)
+        yield start, rows
 
-    def __init__(self, liou: Liouvillian):
-        n = liou.n_cut
-        nn = n * n
-        self.liou = liou
-        self.dim = 2 * nn
-        self.step = min(self.dim, n * max(1, ROW_BLOCK_BYTES // (16 * self.dim * n)))
-        self.rows = np.empty((self.step, self.dim), dtype=complex)
-        self.scratch = np.empty(max(3 * min(self.step, nn), 2 * self.step) * nn)
 
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        for start in range(0, self.dim, self.step):
-            block = self.rows[: min(self.step, self.dim - start)]
-            self.liou._write_rows(block, start, self.scratch)
-            yield start, block
-
-
-def _apply(blocks: _RowBlocks, x: np.ndarray, border: int | None = None) -> np.ndarray:
+def _apply(liou: Liouvillian, x: np.ndarray, border: int | None = None) -> np.ndarray:
     """Generator times ``x``, one row block at a time; row ``border``, if
     given, is replaced with the trace functional for this product."""
     y = np.empty_like(x)
-    for start, block in blocks:
+    for start, block in _row_blocks(liou):
         stop = start + len(block)
         if border is not None and start <= border < stop:
-            block[border - start] = blocks.liou.trace_vector
+            block[border - start] = liou.trace_vector
         y[start:stop] = block @ x
     return y
 
@@ -373,16 +352,16 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     buf = None if liou.decoupled else np.empty((dim, dim), dtype=complex, order="F")
     row_sums = np.empty(dim)
     diag = np.empty(dim, dtype=complex)
-    blocks = _RowBlocks(liou)
-    for start, block in blocks:
+    for start, block in _row_blocks(liou):
         stop = start + len(block)
         diag[start:stop] = block.reshape(-1)[start :: dim + 1]
         if buf is not None:
             buf[start:stop] = block
-        mags = blocks.scratch[: block.size].reshape(block.shape)
-        np.abs(block.real, out=mags)  # as np.abs(block) off the diagonal, where every entry is real
+        mags = np.abs(block.real)  # as np.abs(block) off the diagonal, where every entry is real
         mags.reshape(-1)[start :: dim + 1] = np.abs(diag[start:stop])
         row_sums[start:stop] = mags.sum(axis=1)
+        del mags  # before the next run's rows are built
+    del block  # the pass's row buffer, before a later pass builds its own
     gate = RESIDUAL_RTOL * float(row_sums.max())
     rows = np.flatnonzero(t)
     dominance = 2.0 * np.abs(diag[rows]) - row_sums[rows]
@@ -405,7 +384,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
             # iterative refinement: pushes the kernel residual to
             # rounding level so conservation identities hold tightly
             for _ in range(2):
-                x = x + scipy.linalg.lu_solve(lu, rhs - _apply(blocks, x, border=row), check_finite=False)
+                x = x + scipy.linalg.lu_solve(lu, rhs - _apply(liou, x, border=row), check_finite=False)
         method = "lu"
 
     rho0 = x[:nn].reshape(n, n)
@@ -417,7 +396,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     rho1 = rho1 / tr
 
     final = np.concatenate([rho0.reshape(-1), rho1.reshape(-1)])
-    residual = float(np.abs(_apply(blocks, final)).max())
+    residual = float(np.abs(_apply(liou, final)).max())
     if not residual <= gate:
         raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {gate:.3e}")
     min_eig = (

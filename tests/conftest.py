@@ -8,7 +8,7 @@ import pytest
 from qdmr.model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk
 from qdmr.observables import build_report
 from qdmr.phasespace import reduce_resonator, torotropy
-from qdmr.redfield import _RowBlocks, solve
+from qdmr.redfield import _row_blocks, solve
 
 
 def make_config(
@@ -56,9 +56,9 @@ def solve_point(config: ModelConfig):
 
 def generator_matrix(liou) -> np.ndarray:
     """The dense generator, read through the row-block pass that fills the solve's LU buffer."""
-    blocks = _RowBlocks(liou)
-    out = np.empty((blocks.dim, blocks.dim), dtype=complex)
-    for start, block in blocks:
+    dim = 2 * liou.n_cut**2
+    out = np.empty((dim, dim), dtype=complex)
+    for start, block in _row_blocks(liou):
         out[start : start + len(block)] = block
     return out
 

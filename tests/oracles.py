@@ -276,7 +276,7 @@ def liouvillian_dense(config, tensors) -> np.ndarray:
 
     Each lead adds (kron(a, b) + kron(b, a)) / 2 to the block it feeds, in
     lead order; the two loss blocks are negated; the coherent diagonal is
-    added last.  The row blocks of the solve (``redfield._RowBlocks``) must
+    added last.  The row blocks of the solve (``redfield._row_blocks``) must
     reproduce it bit for bit.
     """
     n = config.system.n_cut

@@ -183,6 +183,19 @@ class TestInvalidSizes:
         assert not out.with_name(out.name + ".journal").exists()
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["point", "sweep", "husimi", "torotropy", "markov-check"])
+    def test_reported_in_one_line_with_exit_one(self, command, sweep_ini, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main([command, "--config", sweep_ini, "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("qdmr: ")
+        assert str(out) in lines[0]
+        assert "Traceback" not in lines[0]
+
+
 MALFORMED_INI = {
     "line_before_first_section": "omega = 6.28\n" + BASE_INI,
     "repeated_key": BASE_INI.replace("lam = 0.7\n", "lam = 0.7\nlam = 0.9\n"),

@@ -71,7 +71,8 @@ def test_solve_and_report_invariants(mu_tilde, delta_mu, delta_t_mk, lam, n_cut)
 def test_rows_and_solve_match_the_dense_oracle(mu_tilde, delta_mu, delta_t_mk, lam, n_cut):
     """The generator's rows and its stationary state are bit for bit those of
     the dense Kronecker matrix and its bordered LU solve, with the rows built
-    and the solve's products made over one row block and over blocks of N rows."""
+    and the solve's products made over one row block and over blocks of N and
+    of 3N rows."""
     config = reference_config(
         mu_tilde=mu_tilde, delta_mu=delta_mu, delta_t_mk=delta_t_mk, lam=lam, n_cut=n_cut
     )
@@ -80,7 +81,9 @@ def test_rows_and_solve_match_the_dense_oracle(mu_tilde, delta_mu, delta_t_mk, l
     dense = liouvillian_dense(config, tensors)
     if lam != 0.0:
         rho0, rho1, row, residual = steady_state_bordered_lu(dense, n_cut)
-    for budget in (redfield.ROW_BLOCK_BYTES, 1):  # 1: every block is N rows
+    # 1: every block is N rows; the third: blocks of 3N rows, which at N = 7,
+    # 8 and 10 start partway into a block and cross from rho0 to rho1
+    for budget in (redfield.ROW_BLOCK_BYTES, 1, 3 * 16 * (2 * n_cut**2) * n_cut):
         with mock.patch.object(redfield, "ROW_BLOCK_BYTES", budget):
             assert generator_matrix(liou).tobytes() == dense.tobytes()
             if lam == 0.0:

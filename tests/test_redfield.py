@@ -160,9 +160,9 @@ class TestLiouvillian:
         assert sum(a.nbytes for a in _held_arrays(liou)) <= 200 * n_cut**3
 
     def test_tiny_coupling_scales_the_sums_and_matches_the_dense_oracle(self):
-        # lam = 1e-10 leaves displacement entries far below 2^-510, and
-        # gain products deep in the subnormal range, where the scaling of
-        # each lead's sum by 0.5 rounds
+        # lam = 1e-10 leaves gain products deep in the subnormal range,
+        # where the scaling of each lead's sum by 0.5 rounds: the rows
+        # match only if they halve that sum, as the Kronecker assembly does
         config = make_config(lam=1e-10, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
         tensors = tuple(build_tensors(config, lead) for lead in config.leads)
         liou = assemble_liouvillian(config, tensors)
