@@ -1,14 +1,17 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error or unwritable output, 2 validation
-or computation failure, 3 sweep completed with failed points.
+Exit codes: 0 success, 1 usage error or unwritable output (``--out`` is
+checked before anything is computed), 2 validation or computation failure,
+3 sweep completed with failed points.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -82,6 +85,23 @@ def _load(args) -> tuple:
     except ConfigError as exc:
         print(f"qdmr: {exc}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, before anything is
+    computed, and without creating the file."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.exists():
+        code = errno.ENOENT
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _cmd_point(args) -> int:
@@ -204,6 +224,8 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
     }
     try:
+        if getattr(args, "out", None):
+            _check_writable(args.out)
         return handlers[args.command](args)
     except redfield.SteadyStateError as exc:
         print(f"qdmr: {exc}", file=sys.stderr)

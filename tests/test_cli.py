@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and file outputs."""
 
+import errno
 import json
 import os
 import shutil
@@ -183,17 +184,50 @@ class TestInvalidSizes:
         assert not out.with_name(out.name + ".journal").exists()
 
 
+COMMANDS_WITH_OUT = ["point", "sweep", "husimi", "torotropy", "markov-check"]
+
+
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("command", ["point", "sweep", "husimi", "torotropy", "markov-check"])
-    def test_reported_in_one_line_with_exit_one(self, command, sweep_ini, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.csv"
+    """An unwritable ``--out`` fails before anything is computed: one
+    ``qdmr: [Errno ...]`` line naming the path, exit 1, and no file made."""
+
+    @pytest.fixture(autouse=True)
+    def _computed(self, monkeypatch):
+        # run_point turns an exception into an error row, so count the calls
+        self.computed = []
+
+        def refuse(*args, **kwargs):
+            self.computed.append(args)
+            raise AssertionError("computed before the output was checked")
+
+        monkeypatch.setattr("qdmr.redfield.solve", refuse)
+        monkeypatch.setattr("qdmr.leads.bath_correlation", refuse)
+
+    def _assert_refused(self, command, sweep_ini, out, errno_code, capsys):
+        made_before = sorted(Path(sweep_ini).parent.rglob("*"))
         code = main([command, "--config", sweep_ini, "--out", str(out)])
+        assert self.computed == []
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("qdmr: ")
+        assert lines[0].startswith(f"qdmr: [Errno {errno_code}] ")
         assert str(out) in lines[0]
         assert "Traceback" not in lines[0]
+        assert sorted(Path(sweep_ini).parent.rglob("*")) == made_before
+
+    @pytest.mark.parametrize("command", COMMANDS_WITH_OUT)
+    def test_reported_in_one_line_with_exit_one(self, command, sweep_ini, tmp_path, capsys):
+        self._assert_refused(command, sweep_ini, tmp_path / "missing" / "x.csv", errno.ENOENT, capsys)
+
+    @pytest.mark.parametrize("command", COMMANDS_WITH_OUT)
+    def test_parent_is_a_file(self, command, sweep_ini, tmp_path, capsys):
+        (tmp_path / "file.txt").write_text("")
+        self._assert_refused(command, sweep_ini, tmp_path / "file.txt" / "x.csv", errno.ENOTDIR, capsys)
+
+    @pytest.mark.parametrize("command", COMMANDS_WITH_OUT)
+    def test_target_is_a_directory(self, command, sweep_ini, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        self._assert_refused(command, sweep_ini, tmp_path / "taken", errno.EISDIR, capsys)
 
 
 MALFORMED_INI = {

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from qdmr.leads import bath_correlation, fermi, rate_in, rate_out, tunneling_rate
+from qdmr.validation import reference_config
 
 from conftest import make_config
-from oracles import bath_correlation_quad, bath_correlation_zero_time, fermi_ref, lorentz_ref
+from oracles import (
+    bath_correlation_all_poles, bath_correlation_quad, bath_correlation_zero_time, fermi_ref, lorentz_ref,
+)
 
 
 class TestFermi:
@@ -92,6 +95,74 @@ CORRELATION_CASES = {
     "custom_grid_with_1e-6_ns": (lambda: make_config(delta_mu=-40.0).lead_R, FINE_GRID),
     "cold_custom_grid_with_1e-6_ns": (_cold_lead, FINE_GRID),
 }
+
+
+# the 2^17 times at 1e-6 ns spacing of the memory test below
+LONG_FINE_GRID = np.linspace(0.0, 2**17 * 1e-6, 2**17 + 1)
+
+# unsorted and non-uniform, with negative times and a repeated 0; some
+# times sit near where a block of poles drops below e^-50 at the reference
+# temperature (s*nu = 50 for nu = 2pi*T*(k + 1/2), k = 0, 16, 32)
+MIXED_GRID = np.array(
+    [0.7, -0.03, 0.0, 2.5, 1e-5, -1.1, 0.0, 0.004, 0.31, -0.0007, 1.2154, 0.0368, -0.0187, 0.0186, 5.0]
+)
+
+# property tests: delta_t_mk in [0, 60] and delta_mu in [-150, 150]; lead L
+# stays at 100 mK, lead R cools to 40 mK
+ALL_POLES_CASES = {
+    "reference_L": (lambda: make_config(delta_mu=-40.0, t_right_mk=60.0).lead_L, None),
+    "reference_R": (lambda: make_config(delta_mu=-40.0, t_right_mk=60.0).lead_R, None),
+    "mixed_grid": (lambda: make_config(delta_mu=-40.0).lead_L, MIXED_GRID),
+    "cold_mixed_grid": (_cold_lead, MIXED_GRID),
+    "long_fine_grid_subsample": (lambda: make_config().lead_L, LONG_FINE_GRID[:: 2**5]),
+    "hottest_mu_plus_75": (lambda: reference_config(delta_mu=150.0).lead_L, None),
+    "hottest_mu_minus_75": (lambda: reference_config(delta_mu=-150.0).lead_L, None),
+    "coldest_mu_plus_75": (lambda: reference_config(delta_mu=-150.0, delta_t_mk=60.0).lead_R, None),
+    "coldest_mu_minus_75": (lambda: reference_config(delta_mu=150.0, delta_t_mk=60.0).lead_R, None),
+}
+
+
+def _assert_matches_all_poles(trace, ref, times):
+    zero = np.flatnonzero(trace.times == 0.0)[0]
+    for kind in ("c_out", "c_in"):
+        got, want = getattr(trace, kind), ref[kind]
+        err = np.abs(got[times] - want).max()
+        assert err <= 1e-14 * abs(want[zero]), (kind, err / abs(want[zero]))
+
+
+class TestLivePoles:
+    """Skipping the pole terms below e^-50 changes nothing beyond rounding:
+    the all-poles sum of the oracle agrees, with the same memory time."""
+
+    @pytest.mark.parametrize("case", sorted(ALL_POLES_CASES))
+    def test_matches_the_all_poles_sum(self, case):
+        make_lead, times = ALL_POLES_CASES[case]
+        lead = make_lead()
+        trace = bath_correlation(lead, times)
+        ref = bath_correlation_all_poles(lead, times)
+        _assert_matches_all_poles(trace, ref, slice(None))
+        assert trace.converged == ref["converged"]
+        np.testing.assert_equal(trace.decay_time, ref["decay_time"])  # nan when not converged
+
+    def test_long_fine_grid_matches_the_all_poles_sum_at_a_subsample(self):
+        # 2^17 times allow only 7 poles per block (2^20 entries)
+        lead = make_config().lead_L
+        trace = bath_correlation(lead, LONG_FINE_GRID)
+        ref = bath_correlation_all_poles(lead, LONG_FINE_GRID[:: 2**5])
+        _assert_matches_all_poles(trace, ref, slice(None, None, 2**5))
+
+    def test_default_grid_builds_no_times_x_poles_array(self):
+        # 801 times x 256 poles of float64 is 1.6 MB; the live blocks stay
+        # far below
+        lead = make_config().lead_L
+        bath_correlation(lead)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            bath_correlation(lead)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestBathCorrelation:

@@ -271,8 +271,8 @@ class TestSteadyState:
         finally:
             tracemalloc.stop()
         # the buffer LAPACK factorises in place is the one copy (1x); the
-        # factored generator, one row block and its scratch add a few
-        # percent, where lead-summed N^2 x N^2 gain blocks would add 0.25x
+        # factored generator and one row block with its per-pass temporaries
+        # add a few percent, where lead-summed N^2 x N^2 gain blocks would add 0.25x
         one_copy = 16 * (2 * n * n) ** 2
         assert peak - before <= 1.5 * one_copy
         assert peak - before <= 1.1 * one_copy
