@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -41,6 +42,7 @@ def _bounded(kind, low: float, *, strict: bool = False):
     return parse
 
 
+@functools.cache  # argparse copies the --set default list before it appends
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qdmr", description="Dot-resonator steady-state transport")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -177,11 +179,7 @@ def _cmd_torotropy(args) -> int:
     for phi, contribution, entropy in result.per_angle:
         print(f"angle {phi:.6f}: contribution = {contribution!r}, entropy = {entropy!r}")
     if args.out:
-        rho, _ = phasespace.reduce_resonator(lab)
-        rows = []
-        for phi, _, _ in result.per_angle:
-            prof = phasespace.radial_profile(rho, result.anchor, phi)
-            rows += [(phi, r, q) for r, q in zip(prof.radii, prof.values)]
+        rows = [(p.phi, r, q) for p in result.profiles for r, q in zip(p.radii, p.values)]
         comments = ["# qdmr torotropy radial profiles", f"# value = {result.value!r}"]
         sweep.write_csv(args.out, comments, ["phi", "r", "q_normalized"], rows)
         print(f"wrote {args.out}")

@@ -143,6 +143,7 @@ class TorotropyResult:
     anchor: complex
     barycenter: complex
     per_angle: tuple[tuple[float, float, float], ...]  # (phi, contribution, entropy)
+    profiles: tuple[RadialProfile, ...]  # the normalized profile of each angle, in that order
 
 
 def default_angles(lam: float) -> tuple[float, ...]:
@@ -165,17 +166,18 @@ def torotropy(
     """
     rho, _ = reduce_resonator(state_lab)
     anchor = complex(-lam * state_lab.occupation)
+    profiles = tuple(radial_profile(rho, anchor, phi, dr=dr) for phi in default_angles(lam))
     per_angle = []
-    for phi in default_angles(lam):
-        prof = radial_profile(rho, anchor, phi, dr=dr)
+    for prof in profiles:
         gap, s = profile_contribution(prof)
-        per_angle.append((float(phi), gap / s, s))
+        per_angle.append((float(prof.phi), gap / s, s))
     value = min(c for _, c, _ in per_angle)
     return TorotropyResult(
         value=value,
         anchor=anchor,
         barycenter=barycenter(rho),
         per_angle=tuple(per_angle),
+        profiles=profiles,
     )
 
 

@@ -41,7 +41,6 @@ from .phonon import displacement_matrix
 
 MIN_EIG_FLOOR = -1e-8  # smallest block eigenvalue a stationary state may have
 RESIDUAL_RTOL = 1e-8  # largest max|L x| of a stationary state x, relative to the infinity norm of L
-ROW_BLOCK_BYTES = 1 << 20  # generator rows built at a time: whole multiples of N rows, at least N
 
 
 class SteadyStateError(RuntimeError):
@@ -157,7 +156,8 @@ class Liouvillian:
 
     Row-major vectorization: element (j, m) of a block sits at j*N + m.
     The dense 2N^2 x 2N^2 complex matrix is never stored; ``_row_blocks``
-    builds it a run of rows at a time.  Held instead, all O(N^3): each
+    builds it N rows at a time, the rows (j, m), m < N, of one block and
+    Fock index j.  Held instead, all O(N^3): each
     lead's gain factors with their N x N^2 tiles (see ``_GainFactors``),
     the lead-summed loss on the only columns where it can be nonzero (see
     ``_loss_lines``), and the coherent diagonal.  ``decoupled`` is set from
@@ -167,7 +167,7 @@ class Liouvillian:
 
     gain: tuple[_GainFactors, _GainFactors]  # into rho0 from rho1, into rho1 from rho0
     loss: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # _loss_lines of w_in^T, of w_out^T
-    coherent: np.ndarray  # -i omega (j - m) at j*N + m
+    coherent: np.ndarray  # -i omega (j - m) at [j, m]
     n_cut: int
     decoupled: bool
 
@@ -200,34 +200,10 @@ def _gain_factors(pairs: list[tuple[np.ndarray, np.ndarray]]) -> _GainFactors:
     return _GainFactors(a, b, np.tile(a, n), np.tile(b, n))
 
 
-def _write_gain(dest: np.ndarray, factors: _GainFactors, js: slice) -> None:
-    """Write the gain block sum_leads (kron(a, b) + kron(b, a)) / 2 on the rows
-    (j, m) with j in ``js`` over ``dest``: the products and sums of the
-    Kronecker assembly, element by element and in its order.
-
-    That assembly adds each lead's term onto a +0.0 start; adding +0.0 to
-    the lead sum instead gives the same bits, signed zeros included.
-    """
-    leads, n = factors.a.shape[:2]
-    rep_a = factors.a[:, js].repeat(n, axis=2)
-    rep_b = factors.b[:, js].repeat(n, axis=2)
-    for lead in range(leads):
-        # np.multiply's products, in fewer iterator steps; a -0.0 product
-        # may come out +0.0, which the +0.0 below makes moot
-        term = np.einsum("jc,mc->jmc", rep_a[lead], factors.tile_b[lead])
-        term += np.einsum("jc,mc->jmc", rep_b[lead], factors.tile_a[lead])
-        term *= 0.5
-        if lead:
-            acc += term
-        else:
-            acc = term
-    np.add(acc.reshape(dest.shape), 0.0, out=dest)
-
-
 def _loss_lines(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Loss block -sum_A (kron(A, I) + kron(I, A)) / 2 over the leads' factors A
     (w_in^T or w_out^T), on each row (j, m) at the columns (a, m) and (j, b)
-    for every a and b: (along_a, along_b), each N^2 x N.
+    for every a and b: (along_a, along_b), each indexed [j, m, a] or [j, m, b].
 
     Only there can the block be nonzero; elsewhere every lead adds a signed
     zero to an accumulator that starts at +0.0, which the negation makes
@@ -236,14 +212,12 @@ def _loss_lines(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """
     n = factors[0].shape[0]
     eye = np.eye(n)
-    along_a = np.zeros((n, n, n))  # [j, m, a]
-    along_b = np.zeros((n, n, n))  # [j, m, b]
+    along_a = np.zeros((n, n, n))
+    along_b = np.zeros((n, n, n))
     for a in factors:  # the products with I[m, m] = 1 and I[j, j] = 1 are a itself
         d = np.diagonal(a)
         along_a += 0.5 * (a[:, None, :] + eye[:, None, :] * d[None, :, None])
         along_b += 0.5 * (d[:, None, None] * eye[None, :, :] + a[None, :, :])
-    along_a = along_a.reshape(n * n, n)
-    along_b = along_b.reshape(n * n, n)
     return -along_a, -along_b
 
 
@@ -264,49 +238,52 @@ def assemble_liouvillian(
     )
     loss = (_loss_lines([t.w_in.T for t in tensors]), _loss_lines([t.w_out.T for t in tensors]))
     jm = np.arange(n)
-    coherent = (-1j * omega * (jm[:, None] - jm[None, :])).reshape(-1)
+    coherent = -1j * omega * (jm[:, None] - jm[None, :])
     return Liouvillian(gain=gain, loss=loss, coherent=coherent, n_cut=n, decoupled=config.system.lam == 0.0)
 
 
 def _row_blocks(liou: Liouvillian) -> Iterator[tuple[int, np.ndarray]]:
-    """All 2N^2 generator rows as (start, rows), in runs of k*N rows (k >= 1).
+    """All 2N^2 generator rows as (start, rows), one run per block and Fock
+    index j: the N rows (j, m), m < N, at start = half*N^2 + j*N, for rho0
+    (half 0) and then rho1 (half 1).
 
-    Every run has at least N >= 2 rows, because a one-row product rounds
-    differently from the same row inside a matrix product.  Each run is
-    written into one buffer, valid until the next is drawn, and is bit for
-    bit the matrix of the Kronecker assembly: its loss block is -0.0 off the
-    two loss lines, each gain entry has the bits of the same products summed
-    in the same order, and the coherent diagonal is added last.
+    ``ModelConfig`` requires N >= 2, so every run has at least two rows; a
+    one-row product rounds differently from the same row inside a matrix
+    product.  Each run is written into one buffer, valid until the next is
+    drawn, and is bit for bit the matrix of the Kronecker assembly: its loss
+    block is -0.0 off the two loss lines, each gain entry has the bits of
+    the same products summed in the same order, and the coherent diagonal
+    is added last.
     """
     n = liou.n_cut
     nn = n * n
     dim = 2 * nn
-    step = min(dim, n * max(1, ROW_BLOCK_BYTES // (16 * dim * n)))
-    buf = np.empty((step, dim), dtype=complex)
-    for start in range(0, dim, step):
-        rows = buf[: min(step, dim - start)]
-        for half, ((along_a, along_b), factors) in enumerate(zip(liou.loss, liou.gain)):
-            first, last = max(start, half * nn), min(start + len(rows), (half + 1) * nn)
-            if first >= last:
-                continue
-            block = rows[first - start : last - start]
-            js = slice(first // n - half * n, last // n - half * n)
-            jc = js.stop - js.start
-            lines = slice(first - half * nn, last - half * nn)
-            own = block[:, half * nn : (half + 1) * nn]
+    rows = np.empty((n, dim), dtype=complex)
+    flat = rows.reshape(-1)
+    for half, ((along_a, along_b), factors) in enumerate(zip(liou.loss, liou.gain)):
+        own = rows[:, half * nn : (half + 1) * nn]
+        gain = rows[:, (1 - half) * nn : (2 - half) * nn]
+        # [m, column's first index, column's second index]
+        own3 = own.real.reshape(n, n, n)
+        at_a_m = np.einsum("mam->ma", own3)  # the columns (a, m) of row (j, m)
+        for j in range(n):
+            start = half * nn + j * n
             own[:] = -0.0
-            # [j, m, column's first index, column's second index]: along_a
-            # at the columns (a, m), then along_b at the columns (j, b)
-            own4 = own.real.reshape(jc, n, n, n)
-            np.einsum("jmam->jma", own4)[...] = along_a[lines].reshape(jc, n, n)
-            np.einsum("jmjb->jmb", own4[:, :, js])[...] = along_b[lines].reshape(jc, n, n)
-            block.reshape(-1)[first :: dim + 1] += liou.coherent[lines]
-            _write_gain(block[:, (1 - half) * nn : (2 - half) * nn], factors, js)
-        yield start, rows
+            at_a_m[...] = along_a[j]
+            own3[:, j] = along_b[j]  # the columns (j, b)
+            flat[start :: dim + 1] += liou.coherent[j]
+            acc = 0.0  # the assembly's start; then each lead's term, in lead order
+            for a, b, tile_a, tile_b in zip(*factors):
+                term = a[j].repeat(n) * tile_b
+                term += b[j].repeat(n) * tile_a
+                term *= 0.5
+                acc = acc + term
+            gain[...] = acc
+            yield start, rows
 
 
 def _apply(liou: Liouvillian, x: np.ndarray, border: int | None = None) -> np.ndarray:
-    """Generator times ``x``, one row block at a time; row ``border``, if
+    """Generator times ``x``, one run of rows at a time; row ``border``, if
     given, is replaced with the trace functional for this product."""
     y = np.empty_like(x)
     for start, block in _row_blocks(liou):
@@ -331,7 +308,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     Replaces the least diagonally dominant population row of the generator
     with the trace functional and solves the bordered system, which is
     nonsingular whenever the kernel is one-dimensional.  One pass over
-    the row blocks fills a Fortran-order buffer that LAPACK factorises in
+    the rows fills a Fortran-order buffer that LAPACK factorises in
     place, so the solve holds one generator-sized array; the refinement
     and residual products build the rows again.  A decoupled
     generator has an N-dimensional kernel, so its phonon sector is not

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qdmr
-from qdmr import sweep
+from qdmr import phasespace, sweep
 from qdmr.cli import main
 from qdmr.configfile import load_config
 
@@ -91,6 +91,17 @@ class TestPoint:
         with pytest.raises(SystemExit) as err:
             main(["point", "--config", str(tmp_path / "none.ini")])
         assert err.value.code == 1
+
+    def test_calls_in_one_process_read_only_their_own_arguments(self, ini, capsys):
+        # the parser is built once per process; no call may see another's --set
+        assert main(["point", "--config", ini, "--set", "system.n_cut=8"]) == 0
+        assert "n_cut = 8\n" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(["point", "--config", ini, "--set", "system.n_cut=9", "--points", "3"])
+        assert err.value.code == 1
+        assert "unrecognized arguments: --points 3" in capsys.readouterr().err
+        assert main(["point", "--config", ini]) == 0
+        assert "n_cut = 12\n" in capsys.readouterr().out
 
 
 class TestSweep:
@@ -331,6 +342,18 @@ class TestTorotropy:
         assert "torotropy = " in out
         assert "anchor = " in out
         assert out.count("angle ") == 4
+
+    def test_export_reuses_the_measure_profiles(self, ini, tmp_path, monkeypatch):
+        calls = []
+        profile = phasespace.radial_profile
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return profile(*args, **kwargs)
+
+        monkeypatch.setattr(phasespace, "radial_profile", counted)
+        assert main(["torotropy", "--config", ini, "--out", str(tmp_path / "profiles.csv")]) == 0
+        assert calls == list(phasespace.default_angles(0.7))
 
     def test_profile_csv(self, ini, tmp_path, capsys):
         out = tmp_path / "profiles.csv"

@@ -4,13 +4,10 @@ Examples are drawn deterministically (``derandomize=True``) so the suite
 gives the same verdict on every run.
 """
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdmr import redfield
 from qdmr.observables import build_report
 from qdmr.redfield import MIN_EIG_FLOOR, assemble_liouvillian, build_tensors, solve, steady_state
 from qdmr.validation import reference_config, two_state_current
@@ -70,25 +67,18 @@ def test_solve_and_report_invariants(mu_tilde, delta_mu, delta_t_mk, lam, n_cut)
 @example(mu_tilde=0.0, delta_mu=-50.0, delta_t_mk=0.0, lam=1.4, n_cut=7)
 def test_rows_and_solve_match_the_dense_oracle(mu_tilde, delta_mu, delta_t_mk, lam, n_cut):
     """The generator's rows and its stationary state are bit for bit those of
-    the dense Kronecker matrix and its bordered LU solve, with the rows built
-    and the solve's products made over one row block and over blocks of N and
-    of 3N rows."""
+    the dense Kronecker matrix and its bordered LU solve."""
     config = reference_config(
         mu_tilde=mu_tilde, delta_mu=delta_mu, delta_t_mk=delta_t_mk, lam=lam, n_cut=n_cut
     )
     tensors = tuple(build_tensors(config, lead) for lead in config.leads)
     liou = assemble_liouvillian(config, tensors)
     dense = liouvillian_dense(config, tensors)
-    if lam != 0.0:
-        rho0, rho1, row, residual = steady_state_bordered_lu(dense, n_cut)
-    # 1: every block is N rows; the third: blocks of 3N rows, which at N = 7,
-    # 8 and 10 start partway into a block and cross from rho0 to rho1
-    for budget in (redfield.ROW_BLOCK_BYTES, 1, 3 * 16 * (2 * n_cut**2) * n_cut):
-        with mock.patch.object(redfield, "ROW_BLOCK_BYTES", budget):
-            assert generator_matrix(liou).tobytes() == dense.tobytes()
-            if lam == 0.0:
-                continue
-            state, info = steady_state(liou)
-        assert (info.norm_row, info.residual) == (row, residual)
-        assert state.rho0.tobytes() == rho0.tobytes()
-        assert state.rho1.tobytes() == rho1.tobytes()
+    assert generator_matrix(liou).tobytes() == dense.tobytes()
+    if lam == 0.0:
+        return
+    rho0, rho1, row, residual = steady_state_bordered_lu(dense, n_cut)
+    state, info = steady_state(liou)
+    assert (info.norm_row, info.residual) == (row, residual)
+    assert state.rho0.tobytes() == rho0.tobytes()
+    assert state.rho1.tobytes() == rho1.tobytes()

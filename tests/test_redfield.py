@@ -8,9 +8,9 @@ import pytest
 import scipy.linalg
 
 from qdmr.redfield import (
-    ROW_BLOCK_BYTES,
     FrameError,
     SteadyStateError,
+    _row_blocks,
     assemble_liouvillian,
     build_tensors,
     solve,
@@ -159,6 +159,19 @@ class TestLiouvillian:
         )
         assert sum(a.nbytes for a in _held_arrays(liou)) <= 200 * n_cut**3
 
+    @pytest.mark.parametrize("n_cut", [2, 7, 12])
+    def test_each_run_is_the_n_rows_of_one_block_and_fock_index(self, n_cut):
+        config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
+        liou = assemble_liouvillian(
+            config, tuple(build_tensors(config, lead) for lead in config.leads)
+        )
+        n = n_cut
+        runs = list(_row_blocks(liou))
+        assert [start for start, _ in runs] == [half * n * n + j * n for half in (0, 1) for j in range(n)]
+        buffer = runs[0][1]
+        assert buffer.shape == (n, 2 * n * n)
+        assert all(rows is buffer for _, rows in runs)
+
     def test_tiny_coupling_scales_the_sums_and_matches_the_dense_oracle(self):
         # lam = 1e-10 leaves gain products deep in the subnormal range,
         # where the scaling of each lead's sum by 0.5 rounds: the rows
@@ -291,9 +304,10 @@ class TestSteadyState:
         finally:
             tracemalloc.stop()
         # beyond the factored generator: the buffer LAPACK factorises in
-        # place (one dense copy) and one row block with its temporaries;
-        # a block held over from the pass before would add a third
-        assert peak - before <= 16 * (2 * n_cut * n_cut) ** 2 + 2 * ROW_BLOCK_BYTES
+        # place (one dense copy) and O(N^3) for one run of N rows with its
+        # temporaries (measured: 78 N^3 bytes at N = 20, 92 N^3 at N = 12);
+        # a run held over from the pass before would pass 100 N^3 at both
+        assert peak - before <= 16 * (2 * n_cut * n_cut) ** 2 + 100 * n_cut**3
 
     @pytest.mark.parametrize(
         "lam, solve_fails, error",
