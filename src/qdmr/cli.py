@@ -136,26 +136,26 @@ def _cmd_sweep(args) -> int:
     return 3 if outcome.n_errors else 0
 
 
-def _solve_lab(args) -> tuple:
-    """Config and lab-frame state of a phonon export; the state is None, after a
-    message, at lam = 0, where the decoupled resonator has no unique state."""
+def _export_point(args, outputs: tuple[str, ...]) -> tuple:
+    """Config and evaluated point of a phonon export; at lam = 0, where the decoupled
+    resonator has no unique state, its ``lab_state`` is None and a message says why."""
     config, _ = _load(args)
-    lab = redfield.solve(config).lab
-    if lab is None:
+    point = sweep.evaluate_point(config, outputs)
+    if point.lab_state is None:
         print(
             f"qdmr {args.command}: lam = 0 decouples the resonator, so it has no unique "
             "phonon state to export; only dot-sector outputs (qdmr point) are defined there",
             file=sys.stderr,
         )
-    return config, lab
+    return config, point
 
 
 def _cmd_husimi(args) -> int:
-    config, lab = _solve_lab(args)
-    if lab is None:
+    config, point = _export_point(args, ())
+    if point.lab_state is None:
         return 2
-    rho, _ = phasespace.reduce_resonator(lab)
-    center = -config.system.lam * lab.occupation
+    rho, _ = phasespace.reduce_resonator(point.lab_state)
+    center = -config.system.lam * point.lab_state.occupation
     extent = phasespace.auto_extent(rho) if args.extent is None else args.extent
     axis = np.linspace(center - extent, center + extent, args.points)
     imag_axis = np.linspace(-extent, extent, args.points)
@@ -169,10 +169,10 @@ def _cmd_husimi(args) -> int:
 
 
 def _cmd_torotropy(args) -> int:
-    config, lab = _solve_lab(args)
-    if lab is None:
+    _, point = _export_point(args, ("phasespace",))
+    if point.lab_state is None:
         return 2
-    result = phasespace.torotropy(lab, config.system.lam)
+    result = point.torotropy
     print(f"torotropy = {result.value!r}")
     print(f"anchor = {result.anchor.real!r}{result.anchor.imag:+}j")
     print(f"barycenter = {result.barycenter.real!r}{result.barycenter.imag:+.3e}j")

@@ -144,6 +144,7 @@ class TorotropyResult:
     barycenter: complex
     per_angle: tuple[tuple[float, float, float], ...]  # (phi, contribution, entropy)
     profiles: tuple[RadialProfile, ...]  # the normalized profile of each angle, in that order
+    rho: np.ndarray  # the reduced resonator matrix the profiles sample (reduce_resonator)
 
 
 def default_angles(lam: float) -> tuple[float, ...]:
@@ -178,6 +179,7 @@ def torotropy(
         barycenter=barycenter(rho),
         per_angle=tuple(per_angle),
         profiles=profiles,
+        rho=rho,
     )
 
 

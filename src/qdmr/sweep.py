@@ -35,6 +35,7 @@ ADAPTIVE_STEP = 10
 ADAPTIVE_CAP = 80
 ADAPTIVE_TAIL_TOL = 1e-6
 ADAPTIVE_DRIFT_TOL = 0.01
+_BLAS_THREADS = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 _BASE_COLUMNS = ("status", "n_cut", "residual", "min_eig")
 # output group -> {column: attribute path on PointResult}; a None on the
@@ -99,7 +100,9 @@ class PointResult:
         return value
 
 
-def _solve_point(config: ModelConfig, outputs: tuple[str, ...]) -> PointResult:
+def evaluate_point(config: ModelConfig, outputs: tuple[str, ...] = OUTPUT_GROUPS) -> PointResult:
+    """Solve, phase space (``phasespace`` group) and report at the config's own cutoff;
+    raises on failure.  ``run_point``, the validation suites and the phonon exports use it."""
     sol = redfield.solve(config)
     lab = sol.lab
 
@@ -107,8 +110,7 @@ def _solve_point(config: ModelConfig, outputs: tuple[str, ...]) -> PointResult:
     ergo = None
     if "phasespace" in outputs and lab is not None:
         tq_result = phasespace.torotropy(lab, config.system.lam)
-        rho_qmr, _ = phasespace.reduce_resonator(lab)
-        ergo = phasespace.ergotropy(rho_qmr, config.system.omega)
+        ergo = phasespace.ergotropy(tq_result.rho, config.system.omega)
 
     report = observables.build_report(
         config, sol.polaron, lab, *sol.tensors,
@@ -133,7 +135,8 @@ def run_point(
     *,
     n_cut_policy: str = "fixed",
 ) -> PointResult:
-    """Evaluate one operating point; exceptions become an error-status result.
+    """``evaluate_point`` plus the cutoff ladder; exceptions become an
+    error-status result (``error:<exception>``) at the cutoff that failed.
 
     With ``n_cut_policy='adaptive'`` the truncation is raised from 20 in
     steps of 10 until the top-decile Fock population falls below 1e-6
@@ -143,13 +146,13 @@ def run_point(
     n = config.system.n_cut  # the cutoff being solved, for an error row
     try:
         if n_cut_policy == "fixed" or config.system.lam == 0.0:
-            return _solve_point(config, outputs)
+            return evaluate_point(config, outputs)
         result = None
         n = ADAPTIVE_START
         while True:
             cfg = replace(config, system=replace(config.system, n_cut=n))
             prev = result
-            result = _solve_point(cfg, outputs)
+            result = evaluate_point(cfg, outputs)
             tail_ok = result.lab_state is not None and result.lab_state.fock_tail < ADAPTIVE_TAIL_TOL
             drift_ok = True
             if "phasespace" in outputs:  # the torotropy must also settle, so at least two sizes
@@ -291,24 +294,27 @@ def run_sweep(
             journal.write(json.dumps({"signature": signature}) + "\n")
             journal.flush()
         if tasks:
-            # identical spawned workers regardless of count: keeps the
+            # identical spawned single-threaded workers regardless of count: keeps the
             # arithmetic (and hence the output bytes) schedule-independent
-            os.environ.setdefault("OMP_NUM_THREADS", "1")
-            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-            os.environ.setdefault("MKL_NUM_THREADS", "1")
-            ctx = get_context("spawn")
-            with ProcessPoolExecutor(max_workers=spec.workers, mp_context=ctx) as pool:
-                futures = {pool.submit(_evaluate_task, t): t for t in tasks}
-                for fut in as_completed(futures):
-                    try:
-                        index, row = fut.result()
-                    except BrokenProcessPool as exc:
-                        index, _, assignment, _ = futures[fut]
-                        lost[index] = {**assignment, **_failed(config.system.n_cut, exc).row(spec.outputs)}
-                        continue
-                    done[index] = row
-                    journal.write(json.dumps({"index": index, "row": row}) + "\n")
-                    journal.flush()
+            saved = {name: os.environ.pop(name) for name in _BLAS_THREADS if name in os.environ}
+            os.environ.update(_BLAS_THREADS)
+            try:
+                with ProcessPoolExecutor(max_workers=spec.workers, mp_context=get_context("spawn")) as pool:
+                    futures = {pool.submit(_evaluate_task, t): t for t in tasks}
+                    for fut in as_completed(futures):
+                        try:
+                            index, row = fut.result()
+                        except BrokenProcessPool as exc:
+                            index, _, assignment, _ = futures[fut]
+                            lost[index] = {**assignment, **_failed(config.system.n_cut, exc).row(spec.outputs)}
+                            continue
+                        done[index] = row
+                        journal.write(json.dumps({"index": index, "row": row}) + "\n")
+                        journal.flush()
+            finally:  # the caller's settings again; one it had not set stays unset
+                for name in _BLAS_THREADS:
+                    os.environ.pop(name, None)
+                os.environ.update(saved)
 
     rows = [done[index] if index in done else lost[index] for index, _ in points]
     columns = sweep_columns(spec)

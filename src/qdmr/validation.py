@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import leads, observables, phasespace, redfield
+from . import leads, sweep
 from .model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk
 
 
@@ -66,8 +66,7 @@ def validate_oracle() -> dict:
     checks = []
     for mu_tilde in np.linspace(-60.0, 60.0, 21):
         config = reference_config(delta_mu=-50.0, mu_tilde=float(mu_tilde), lam=0.0, n_cut=6)
-        sol = redfield.solve(config)
-        i_r = observables.particle_current(sol.tensors[1], sol.polaron)
+        i_r = sweep.evaluate_point(config).report.current_r
         expected = two_state_current(config)
         rel = abs(i_r - expected) / abs(expected)
         checks.append(_check(f"current_mu_tilde_{mu_tilde:+.0f}", rel, 1e-8))
@@ -82,8 +81,7 @@ def validate_conservation() -> dict:
             config = reference_config(
                 delta_mu=delta_mu, mu_tilde=mu_tilde, delta_t_mk=40.0, n_cut=20
             )
-            sol = redfield.solve(config)
-            report = observables.build_report(config, sol.polaron, None, *sol.tensors)
+            report = sweep.evaluate_point(config, ("transport", "thermo")).report
             tag = f"mu{mu_tilde:+.0f}_dmu{delta_mu:+.0f}"
             i_scale = max(abs(report.current_l), abs(report.current_r))
             checks.append(
@@ -143,11 +141,8 @@ def validate_truncation() -> dict:
     """
     results = {}
     for n in (30, 40):
-        config = reference_config(delta_mu=-50.0, mu_tilde=-60.0, n_cut=n)
-        sol = redfield.solve(config)
-        i_r = observables.particle_current(sol.tensors[1], sol.polaron)
-        tq = phasespace.torotropy(sol.lab, config.system.lam)
-        results[n] = (i_r, tq.value, sol.lab.fock_tail)
+        point = sweep.evaluate_point(reference_config(delta_mu=-50.0, mu_tilde=-60.0, n_cut=n))
+        results[n] = (point.report.current_r, point.torotropy.value, point.lab_state.fock_tail)
     d_current = abs(results[40][0] - results[30][0]) / abs(results[40][0])
     tq_scale = max(abs(results[40][1]), abs(results[30][1]), 1e-12)
     d_tq = abs(results[40][1] - results[30][1]) / tq_scale

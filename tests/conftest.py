@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from qdmr.model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk
-from qdmr.observables import build_report
-from qdmr.phasespace import reduce_resonator, torotropy
 from qdmr.redfield import _row_blocks, solve
+from qdmr.sweep import evaluate_point
 
 
 def make_config(
@@ -49,7 +48,8 @@ def make_config(
 
 
 def solve_point(config: ModelConfig):
-    """One full solve: (tensors_l, tensors_r, polaron, lab, info); lab is None at lam = 0."""
+    """One solve, for tests of a single layer: (tensors_l, tensors_r, polaron, lab, info);
+    lab is None at lam = 0.  Tests of the program's outputs use ``evaluate_point``."""
     sol = solve(config)
     return (*sol.tensors, sol.polaron, sol.lab, sol.info)
 
@@ -84,47 +84,27 @@ def bias_grid_rows():
     rows = []
     for mu_t in np.linspace(-60.0, 60.0, 9):
         for dmu in np.linspace(-150.0, 150.0, 9):
-            config = make_config(
-                mu_tilde=float(mu_t), delta_mu=float(dmu), t_right_mk=60.0
-            )
-            tl, tr, state, lab, info = solve_point(config)
-            report = build_report(config, state, lab, tl, tr)
-            rows.append(
-                {
-                    "mu_tilde": float(mu_t),
-                    "delta_mu": float(dmu),
-                    "report": report,
-                    "coherence": polaron_coherence(state),
-                    "tail": lab.fock_tail,
-                    "occupation": state.occupation,
-                    "residual": info.residual,
-                }
-            )
+            config = make_config(mu_tilde=float(mu_t), delta_mu=float(dmu), t_right_mk=60.0)
+            point = evaluate_point(config, ("transport", "thermo"))
+            rows.append({
+                "mu_tilde": float(mu_t),
+                "delta_mu": float(dmu),
+                "report": point.report,
+                "coherence": polaron_coherence(point.polaron_state),
+                "tail": point.lab_state.fock_tail,
+            })
     return rows
 
 
 @pytest.fixture(scope="session")
 def so_cut_rows():
-    """61-point mu_tilde cut at delta_mu=-50, equal temperatures, cutoff 30.
+    """61-point mu_tilde cut at delta_mu=-50, equal temperatures, cutoff 30,
+    as (mu_tilde, evaluated point) pairs.
 
     The self-oscillation window of this cut drives the switching-effect,
     ergotropy-witness, and truncation acceptance checks.
     """
-    rows = []
-    for mu_t in np.linspace(-60.0, 60.0, 61):
-        config = make_config(mu_tilde=float(mu_t), delta_mu=-50.0)
-        tl, tr, state, lab, info = solve_point(config)
-        rho, _ = reduce_resonator(lab)
-        result = torotropy(lab, config.system.lam)
-        report = build_report(
-            config, state, lab, tl, tr, torotropy_value=result.value
-        )
-        rows.append(
-            {
-                "mu_tilde": float(mu_t),
-                "report": report,
-                "torotropy": result.value,
-                "rho_qmr": rho,
-            }
-        )
-    return rows
+    return [
+        (float(mu_t), evaluate_point(make_config(mu_tilde=float(mu_t), delta_mu=-50.0)))
+        for mu_t in np.linspace(-60.0, 60.0, 61)
+    ]

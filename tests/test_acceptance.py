@@ -16,23 +16,11 @@ from qdmr import validation
 from qdmr.cli import main as cli_main
 from qdmr.configfile import SweepAxis, SweepSpec
 from qdmr.leads import bath_correlation
-from qdmr.observables import (
-    build_report,
-    eta_converter,
-    mechanical_heat,
-    particle_current,
-)
-from qdmr.phasespace import (
-    ergotropy,
-    profile_contribution,
-    radial_profile,
-    reduce_resonator,
-    torotropy,
-)
+from qdmr.phasespace import profile_contribution, radial_profile, torotropy
 from qdmr.redfield import BlockDensityMatrix
-from qdmr.sweep import ADAPTIVE_TAIL_TOL, run_sweep
+from qdmr.sweep import ADAPTIVE_TAIL_TOL, evaluate_point, run_sweep
 
-from conftest import make_config, polaron_coherence, solve_point
+from conftest import make_config, polaron_coherence
 from oracles import coherent_vector, rate_equation_current, thermal_matrix
 
 GAMMA = 2.0 * math.pi * 0.2
@@ -73,8 +61,7 @@ def test_criterion_01_zero_coupling_current_oracle():
         config = make_config(
             lam=0.0, mu_tilde=float(mu_tilde), delta_mu=-50.0, n_cut=6
         )
-        _, tensors_r, state, _, _ = solve_point(config)
-        current = particle_current(tensors_r, state)
+        current = evaluate_point(config).report.current_r
         expected = rate_equation_current(
             config.system.mu_tilde, config.lead_L, config.lead_R
         )
@@ -125,14 +112,8 @@ def test_criterion_03_mechanical_heat_vanishes_at_zero_coupling():
             t_right_mk=float(rng.uniform(60.0, 100.0)),
             n_cut=8,
         )
-        tensors_l, tensors_r, state, _, _ = solve_point(config)
-        i_l = particle_current(tensors_l, state)
-        i_r = particle_current(tensors_r, state)
-        worst = max(
-            worst,
-            abs(mechanical_heat(config, tensors_l, state, i_l)),
-            abs(mechanical_heat(config, tensors_r, state, i_r)),
-        )
+        report = evaluate_point(config).report
+        worst = max(worst, abs(report.heat_mec_l), abs(report.heat_mec_r))
     passed = worst <= gate
     _report(3, passed, f"max |mechanical heat| {worst:.3e} (gate {gate:.3e})")
     assert passed
@@ -140,9 +121,9 @@ def test_criterion_03_mechanical_heat_vanishes_at_zero_coupling():
 
 def test_criterion_04_switching_window_matches_current_structure(so_cut_rows):
     """The torotropy window is contiguous and hosts a non-monotone current."""
-    tq = np.array([row["torotropy"] for row in so_cut_rows])
-    current = np.array([abs(row["report"].current_r) for row in so_cut_rows])
-    mu = np.array([row["mu_tilde"] for row in so_cut_rows])
+    mu = np.array([mu_t for mu_t, _ in so_cut_rows])
+    tq = np.array([point.torotropy.value for _, point in so_cut_rows])
+    current = np.array([abs(point.report.current_r) for _, point in so_cut_rows])
 
     inside = np.nonzero(tq > 0.0)[0]
     contiguous = inside.size > 0 and np.all(np.diff(inside) == 1)
@@ -154,15 +135,12 @@ def test_criterion_04_switching_window_matches_current_structure(so_cut_rows):
     )
 
     # comparison cut with no self-oscillation anywhere: smaller bias
-    comparison_tq = []
-    comparison_current = []
-    for mu_t in np.linspace(-60.0, 60.0, 61):
-        config = make_config(mu_tilde=float(mu_t), delta_mu=-20.0)
-        _, tensors_r, state, lab, _ = solve_point(config)
-        comparison_tq.append(torotropy(lab, config.system.lam).value)
-        comparison_current.append(abs(particle_current(tensors_r, state)))
-    comparison_tq = np.array(comparison_tq)
-    comparison_current = np.array(comparison_current)
+    comparison = [
+        evaluate_point(make_config(mu_tilde=float(mu_t), delta_mu=-20.0))
+        for mu_t in np.linspace(-60.0, 60.0, 61)
+    ]
+    comparison_tq = np.array([point.torotropy.value for point in comparison])
+    comparison_current = np.array([abs(point.report.current_r) for point in comparison])
     quiet = float(comparison_tq.max()) == 0.0
     peak = int(np.argmax(comparison_current))
     rising = np.all(np.diff(comparison_current[: peak + 1]) >= -1e-12)
@@ -193,16 +171,12 @@ def test_criterion_05_self_oscillation_implies_heater():
             config = make_config(
                 mu_tilde=float(mu_t), delta_mu=float(dmu), t_right_mk=60.0
             )
-            tensors_l, tensors_r, state, lab, _ = solve_point(config)
-            value = torotropy(lab, config.system.lam).value
+            point = evaluate_point(config)
             total += 1
-            if value > 1e-4:
+            if point.torotropy.value > 1e-4:
                 oscillating += 1
-                report = build_report(
-                    config, state, lab, tensors_l, tensors_r, torotropy_value=value
-                )
-                if report.mode != "heater":
-                    misclassified.append((mu_t, dmu, report.mode))
+                if point.report.mode != "heater":
+                    misclassified.append((mu_t, dmu, point.report.mode))
     passed = oscillating > 0 and not misclassified
     _report(
         5,
@@ -215,17 +189,14 @@ def test_criterion_05_self_oscillation_implies_heater():
 
 def test_criterion_06_performance_ordering_in_coupling():
     """eta_converter and |I_R| both fall strictly as lam grows."""
-    etas = []
-    currents = []
-    for lam in (0.5, 0.7, 1.0):
-        config = make_config(
-            mu_tilde=0.0, delta_mu=-40.0, lam=lam, t_right_mk=60.0, n_cut=40
-        )
-        _, tensors_r, state, lab, _ = solve_point(config)
-        current = particle_current(tensors_r, state)
-        value = torotropy(lab, lam).value
-        etas.append(eta_converter(value, current, config.system.omega))
-        currents.append(abs(current))
+    reports = [
+        evaluate_point(
+            make_config(mu_tilde=0.0, delta_mu=-40.0, lam=lam, t_right_mk=60.0, n_cut=40)
+        ).report
+        for lam in (0.5, 0.7, 1.0)
+    ]
+    etas = [report.eta_converter for report in reports]
+    currents = [abs(report.current_r) for report in reports]
     eta_ordered = etas[0] > etas[1] > etas[2]
     current_ordered = currents[0] > currents[1] > currents[2]
     passed = eta_ordered and current_ordered
@@ -300,12 +271,11 @@ def test_criterion_07_torotropy_calibration_corpus():
 
 def test_criterion_08_ergotropy_without_oscillation_exists(so_cut_rows):
     """Some computed point stores extractable work yet scores T_Q ~ 0."""
-    witnesses = []
-    for row in so_cut_rows:
-        if row["torotropy"] < 1e-6:
-            ergo = ergotropy(row["rho_qmr"], OMEGA)
-            if ergo > 1e-3 * OMEGA:
-                witnesses.append((row["mu_tilde"], ergo))
+    witnesses = [
+        (mu_t, point.ergotropy)
+        for mu_t, point in so_cut_rows
+        if point.torotropy.value < 1e-6 and point.ergotropy > 1e-3 * OMEGA
+    ]
     passed = bool(witnesses)
     example = (
         f"e.g. mu_tilde={witnesses[0][0]:+.0f} ergotropy={witnesses[0][1]:.3f}"
@@ -351,9 +321,8 @@ def test_criterion_09_barycenter_displacement_relation(bias_grid_rows):
             t_right_mk=60.0,
             n_cut=40,
         )
-        _, _, state, _, _ = solve_point(config)
         gaps_30.append(row["coherence"])
-        gaps_40.append(polaron_coherence(state))
+        gaps_40.append(polaron_coherence(evaluate_point(config, ()).polaron_state))
     gaps_30 = np.array(gaps_30)
     gaps_40 = np.array(gaps_40)
     all_shrink = bool(converged) and bool(np.all(gaps_40 < gaps_30))
@@ -423,12 +392,8 @@ def test_criterion_11_determinism_and_truncation(tmp_path, so_cut_rows):
     # cutoff-friendly point (inside the window the drift is larger)
     drift = {}
     for n in (30, 40):
-        config = make_config(mu_tilde=-60.0, delta_mu=-50.0, n_cut=n)
-        _, tensors_r, state, lab, _ = solve_point(config)
-        drift[n] = (
-            particle_current(tensors_r, state),
-            torotropy(lab, config.system.lam).value,
-        )
+        point = evaluate_point(make_config(mu_tilde=-60.0, delta_mu=-50.0, n_cut=n))
+        drift[n] = (point.report.current_r, point.torotropy.value)
     i30, tq30 = drift[30]
     i40, tq40 = drift[40]
     current_drift = abs(i40 - i30) / abs(i40)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qdmr
-from qdmr import phasespace, sweep
+from qdmr import phasespace, sweep, validation
 from qdmr.cli import main
 from qdmr.configfile import load_config
 
@@ -363,6 +363,37 @@ class TestTorotropy:
         assert lines[0] == "# qdmr torotropy radial profiles"
         assert "phi,r,q_normalized" in lines
         _assert_numeric_cells(lines)
+
+
+@pytest.fixture
+def evaluated_cutoffs(monkeypatch):
+    """The cutoff of every point that goes through ``sweep.evaluate_point``."""
+    cutoffs = []
+    evaluate = sweep.evaluate_point
+
+    def counted(config, *args, **kwargs):
+        cutoffs.append(config.system.n_cut)
+        return evaluate(config, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "evaluate_point", counted)
+    return cutoffs
+
+
+class TestOnePointPipeline:
+    """The validation suites and the phonon exports evaluate their points as
+    ``qdmr point`` and ``qdmr sweep`` do, through ``sweep.evaluate_point``."""
+
+    def test_validation_suites(self, evaluated_cutoffs):
+        assert validation.validate_oracle()["passed"]
+        assert evaluated_cutoffs == [6] * 21
+        evaluated_cutoffs.clear()
+        assert validation.validate_truncation()["passed"]
+        assert evaluated_cutoffs == [30, 40]
+
+    @pytest.mark.parametrize("command", ["husimi", "torotropy"])
+    def test_phonon_exports(self, command, evaluated_cutoffs, ini, tmp_path):
+        assert main([command, "--config", ini, "--out", str(tmp_path / "out.csv")]) == 0
+        assert evaluated_cutoffs == [12]
 
 
 class TestZeroCoupling:

@@ -4,6 +4,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -12,7 +13,7 @@ from multiprocessing import get_context
 
 import pytest
 
-from qdmr import sweep
+from qdmr import phasespace, redfield, sweep
 from qdmr.configfile import (
     OUTPUT_GROUPS,
     SWEEP_AXES,
@@ -327,13 +328,47 @@ class TestRunPoint:
         def boom(config, outputs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(sweep, "_solve_point", boom)
+        monkeypatch.setattr(sweep, "evaluate_point", boom)
         result = run_point(make_config(n_cut=8))
         assert result.status == "error:RuntimeError"
         assert math.isnan(result.residual)
         row = result.row(("transport", "mode"))
         assert math.isnan(row["current_R"])
         assert row["mode"] == ""
+
+
+class TestEvaluatePoint:
+    def test_phasespace_reduces_the_resonator_once(self, monkeypatch):
+        calls = []
+        reduce = phasespace.reduce_resonator
+
+        def counted(state):
+            calls.append(state)
+            return reduce(state)
+
+        monkeypatch.setattr(phasespace, "reduce_resonator", counted)
+        config = make_config(n_cut=10)
+        point = sweep.evaluate_point(config, ("phasespace",))
+        assert len(calls) == 1
+        # the measure's matrix is the one a fresh reduction gives, bit for bit
+        assert point.ergotropy == phasespace.ergotropy(reduce(point.lab_state)[0], config.system.omega)
+
+    def test_failure_raises(self):
+        # run_point turns this into an error row; evaluate_point does not catch it
+        config = make_config(lam=1e-10, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
+        with pytest.raises(redfield.SteadyStateError):
+            sweep.evaluate_point(config)
+
+
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """A worker pool a test starts itself runs with one BLAS thread, as run_sweep's
+    does, so that its rows are bit for bit the sweep's."""
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
 
 
 def _small_spec(**kwargs):
@@ -471,7 +506,7 @@ class TestRunSweep:
         assert out.read_bytes() == fresh.read_bytes()
         assert not journal.exists()
 
-    def test_resume_completes_partial_journal_bit_identically(self, tmp_path):
+    def test_resume_completes_partial_journal_bit_identically(self, tmp_path, one_blas_thread):
         config = make_config(lam=0.7, n_cut=8)
         spec = _small_spec(axis2=SweepAxis("delta_mu", -10.0, 10.0, 2))
         fresh = tmp_path / "fresh.csv"
@@ -493,7 +528,7 @@ class TestRunSweep:
         assert resumed.read_bytes() == fresh.read_bytes()
         assert not journal.exists()
 
-    def test_resume_recomputes_a_journal_line_cut_short(self, tmp_path):
+    def test_resume_recomputes_a_journal_line_cut_short(self, tmp_path, one_blas_thread):
         config = make_config(lam=0.7, n_cut=8)
         spec = _small_spec(axis2=None)
         fresh = tmp_path / "fresh.csv"
@@ -553,3 +588,49 @@ class TestRunSweep:
         journal.write_text(json.dumps({"signature": "deadbeef"}) + "\n")
         with pytest.raises(ValueError):
             run_sweep(config, spec, out, resume=True)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("caller", [None, "4"])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_workers_run_single_threaded_and_the_caller_keeps_its_settings(
+        self, caller, fail, tmp_path, monkeypatch
+    ):
+        for name in BLAS_THREAD_VARIABLES:
+            if caller is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, caller)
+        before = dict(os.environ)
+        seen = []
+
+        class InlinePool:
+            """Stands in for ProcessPoolExecutor: runs each task here and records
+            the BLAS settings a worker started now would inherit."""
+
+            def __init__(self, max_workers, mp_context):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, task):
+                seen.append({name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES})
+                if fail:
+                    raise RuntimeError("synthetic pool failure")
+                fut = Future()
+                fut.set_result(fn(task))
+                return fut
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+        spec = _small_spec(axis2=None)
+        if fail:
+            with pytest.raises(RuntimeError, match="synthetic pool failure"):
+                run_sweep(make_config(n_cut=6), spec, tmp_path / "out.csv")
+        else:
+            assert run_sweep(make_config(n_cut=6), spec, tmp_path / "out.csv").n_errors == 0
+        assert seen == [dict.fromkeys(BLAS_THREAD_VARIABLES, "1")] * (1 if fail else 3)
+        assert dict(os.environ) == before
