@@ -6,7 +6,7 @@ derives transport, thermodynamic and phase-space observables, including
 the torotropy self-oscillation measure.
 """
 
-from .model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk, mk_from_ghz
+from .model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk
 from .redfield import (
     BlockDensityMatrix,
     Liouvillian,
@@ -35,7 +35,6 @@ __all__ = [
     "assemble_liouvillian",
     "build_tensors",
     "ghz_from_mk",
-    "mk_from_ghz",
     "solve",
     "steady_state",
     "to_lab_frame",

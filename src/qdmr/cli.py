@@ -159,10 +159,10 @@ def _cmd_husimi(args) -> int:
     extent = phasespace.auto_extent(rho) if args.extent is None else args.extent
     axis = np.linspace(center - extent, center + extent, args.points)
     imag_axis = np.linspace(-extent, extent, args.points)
-    grid_re, grid_im = np.meshgrid(axis, imag_axis, indexing="ij")
-    q = phasespace.husimi(rho, grid_re + 1j * grid_im)
+    # one grid row per call: a call holds a points x N overlap array, not points^2 x N
+    q = [phasespace.husimi(rho, re + 1j * imag_axis) for re in axis]
     comments = ["# qdmr husimi grid", f"# center_re = {center!r}", f"# extent = {extent!r}"]
-    rows = zip(grid_re.ravel(), grid_im.ravel(), q.ravel())
+    rows = ((re, im, value) for re, q_row in zip(axis, q) for im, value in zip(imag_axis, q_row))
     sweep.write_csv(args.out, comments, ["re_alpha", "im_alpha", "q"], rows)
     print(f"wrote {args.out}")
     return 0

@@ -26,11 +26,6 @@ def ghz_from_mk(temperature_mk: float) -> float:
     return KB_OVER_HBAR_GHZ_PER_MK * temperature_mk
 
 
-def mk_from_ghz(temperature_ghz: float) -> float:
-    """Inverse of :func:`ghz_from_mk`."""
-    return temperature_ghz / KB_OVER_HBAR_GHZ_PER_MK
-
-
 @dataclass(frozen=True)
 class LeadParams:
     """One fermionic reservoir with a Lorentzian tunneling window.
@@ -109,10 +104,6 @@ class ModelConfig:
     @property
     def leads(self) -> tuple[LeadParams, LeadParams]:
         return (self.lead_L, self.lead_R)
-
-    @property
-    def delta_mu(self) -> float:
-        return self.lead_L.chem_potential - self.lead_R.chem_potential
 
     def with_bias(self, delta_mu: float) -> "ModelConfig":
         """New config with the bias split symmetrically: mu_L = +delta_mu/2, mu_R = -delta_mu/2."""

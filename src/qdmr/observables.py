@@ -20,10 +20,6 @@ from .model import ModelConfig
 from .redfield import BlockDensityMatrix, FrameError, RedfieldTensors
 
 
-class UndefinedObservableError(ValueError):
-    """Requested ratio is undefined at this operating point."""
-
-
 def phonon_number(state: BlockDensityMatrix) -> float:
     """Mean phonon number; lab frame only (the polaron frame miscounts quanta)."""
     if state.frame != "lab":
@@ -108,37 +104,18 @@ def default_mode_tol(config: ModelConfig) -> float:
     return 1e-6 * config.system.omega * gbar
 
 
-def eta_converter(torotropy_value: float, current_r: float, omega: float) -> float:
-    """Current-to-oscillation conversion figure omega * T_Q / |I_R|."""
+def eta_converter(torotropy_value: float, current_r: float, omega: float) -> float | None:
+    """Current-to-oscillation conversion figure omega * T_Q / |I_R|; None at zero current."""
     if current_r == 0.0:
-        raise UndefinedObservableError("eta_converter undefined at zero current")
+        return None
     return omega * torotropy_value / abs(current_r)
 
 
-def eta_heater(
-    heat_l_total: float,
-    heat_r_total: float,
-    power: float,
-    t_hot: float,
-    t_cold: float,
-    t_ref: float | None = None,
-) -> float:
-    """Useful-heating efficiency against a reference temperature.
-
-    ``t_ref`` must lie between the lead temperatures (t_cold <= t_ref <=
-    t_hot); by default the limit t_ref -> t_cold is taken, where the
-    expression reduces to (1 - t_cold/t_hot) * |J_hot| / |P|.
-    """
-    if t_ref is None:
-        if power == 0.0:
-            raise UndefinedObservableError("eta_heater undefined at zero power")
-        return (1.0 - t_cold / t_hot) * abs(heat_l_total) / abs(power)
-    if not (t_cold <= t_ref <= t_hot):
-        raise ValueError("t_ref must satisfy t_cold <= t_ref <= t_hot")
-    denom = abs(heat_r_total) * (1.0 - t_ref / t_cold) + abs(power)
-    if denom == 0.0:
-        raise UndefinedObservableError("eta_heater undefined: zero denominator")
-    return abs(heat_l_total) * (1.0 - t_ref / t_hot) / denom
+def eta_heater(heat_hot: float, power: float, t_hot: float, t_cold: float) -> float | None:
+    """Useful-heating efficiency (1 - t_cold/t_hot) * |J_hot| / |P|; None at zero power."""
+    if power == 0.0:
+        return None
+    return (1.0 - t_cold / t_hot) * abs(heat_hot) / abs(power)
 
 
 @dataclass(frozen=True)
@@ -201,18 +178,10 @@ def build_report(
 
     mode = classify_mode(jel_l + jmec_l, jel_r + jmec_r, power, default_mode_tol(config))
 
-    eta_c = None
-    if torotropy_value is not None and i_r != 0.0:
-        eta_c = eta_converter(torotropy_value, i_r, config.system.omega)
+    eta_c = None if torotropy_value is None else eta_converter(torotropy_value, i_r, config.system.omega)
     eta_h = None
     if mode == "heater":
-        try:
-            eta_h = eta_heater(
-                jel_l + jmec_l, jel_r + jmec_r, power,
-                config.lead_L.temperature, config.lead_R.temperature,
-            )
-        except UndefinedObservableError:
-            eta_h = None
+        eta_h = eta_heater(jel_l + jmec_l, power, config.lead_L.temperature, config.lead_R.temperature)
 
     return ThermoReport(
         occupation=polaron_state.occupation,

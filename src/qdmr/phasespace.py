@@ -84,7 +84,6 @@ class RadialProfile:
     phi: float
     radii: np.ndarray
     values: np.ndarray
-    raw_integral: float
     dr: float
 
     def entropy(self) -> float:
@@ -98,26 +97,23 @@ def radial_profile(
     phi: float,
     *,
     dr: float = 0.02,
-    r_max: float | None = None,
 ) -> RadialProfile:
     """Sample Q along center + r e^{i phi}, r >= 0, analytically at each point.
 
-    When ``r_max`` is omitted it starts at ``auto_extent`` + |center| and
-    is extended until the raw Husimi value at the end of the ray drops
-    below 1e-10.
+    The ray ends at ``auto_extent`` + |center|, extended until the raw
+    Husimi value at its end drops below 1e-10.
     """
-    if r_max is None:
-        r_max = auto_extent(rho_qmr) + abs(center)
-        step = np.exp(1j * phi)
-        while husimi(rho_qmr, center + r_max * step) > 1e-10 and r_max < 60.0:
-            r_max += 1.0
-    radii = np.arange(0.0, r_max + 0.5 * dr, dr)
-    q = husimi(rho_qmr, center + radii * np.exp(1j * phi))
+    r_end = auto_extent(rho_qmr) + abs(center)
+    step = np.exp(1j * phi)
+    while husimi(rho_qmr, center + r_end * step) > 1e-10 and r_end < 60.0:
+        r_end += 1.0
+    radii = np.arange(0.0, r_end + 0.5 * dr, dr)
+    q = husimi(rho_qmr, center + radii * step)
     q = np.clip(q, 0.0, None)
     raw = float(q.sum() * dr)
     if raw <= 0.0:
         raise InvalidStateError("Husimi profile vanishes along the ray")
-    return RadialProfile(phi=phi, radii=radii, values=q / raw, raw_integral=raw, dr=dr)
+    return RadialProfile(phi=phi, radii=radii, values=q / raw, dr=dr)
 
 
 def profile_contribution(profile: RadialProfile) -> tuple[float, float]:

@@ -89,7 +89,6 @@ class BlockDensityMatrix:
 class RedfieldTensors:
     """Per-lead transition tensors in factored form."""
 
-    label: str
     n_cut: int
     displacement: np.ndarray
     w_in: np.ndarray
@@ -144,10 +143,7 @@ def build_tensors(config: ModelConfig, lead: LeadParams) -> RedfieldTensors:
     w_out = np.einsum("ia,ai,bi->ab", r_out, d, d)
     v_in = d * r_in.T
     v_out = d.T * r_out
-    return RedfieldTensors(
-        label=lead.label, n_cut=n, displacement=d,
-        w_in=w_in, w_out=w_out, v_in=v_in, v_out=v_out,
-    )
+    return RedfieldTensors(n_cut=n, displacement=d, w_in=w_in, w_out=w_out, v_in=v_in, v_out=v_out)
 
 
 @dataclass(frozen=True)

@@ -101,8 +101,8 @@ def so_cut_rows():
     """61-point mu_tilde cut at delta_mu=-50, equal temperatures, cutoff 30,
     as (mu_tilde, evaluated point) pairs.
 
-    The self-oscillation window of this cut drives the switching-effect,
-    ergotropy-witness, and truncation acceptance checks.
+    The self-oscillation window of this cut drives the switching-effect
+    and ergotropy-witness acceptance checks.
     """
     return [
         (float(mu_t), evaluate_point(make_config(mu_tilde=float(mu_t), delta_mu=-50.0)))

@@ -371,7 +371,7 @@ def test_criterion_10_bath_memory_is_short():
     assert passed
 
 
-def test_criterion_11_determinism_and_truncation(tmp_path, so_cut_rows):
+def test_criterion_11_determinism_and_truncation(tmp_path):
     """Byte-stable sweeps across worker counts; cutoff-stable cut observables."""
     config = make_config(lam=0.7, n_cut=10)
     spec = SweepSpec(

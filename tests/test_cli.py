@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -332,6 +333,19 @@ class TestHusimi:
             ]
         )
         assert "# extent = 2.5" in out.read_text()
+
+    def test_memory_grows_with_the_grid_not_with_grid_times_cutoff(self, ini, tmp_path):
+        points = 401
+        tracemalloc.start()
+        try:
+            main(["husimi", "--config", ini, "--points", str(points), "--out", str(tmp_path / "q.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the q grid is 8 points^2 bytes and the N=12 solve is small (measured
+        # 1.76 MiB in all); overlaps for the whole grid at once, 16 N points^2
+        # bytes and a conjugate copy, peaked at 66.6 MiB
+        assert peak <= 3 * 8 * points**2
 
 
 class TestTorotropy:

@@ -86,7 +86,7 @@ class TestConfigFile:
         assert config.system.n_cut == 10
         assert config.lead_L.gamma_center == -10.0
         assert config.lead_R.chem_potential == -30.0
-        assert config.delta_mu == 60.0
+        assert config.lead_L.chem_potential - config.lead_R.chem_potential == 60.0
 
     def test_bias_section_overrides_lead_potentials(self, tmp_path):
         path = tmp_path / "bias.ini"
@@ -110,7 +110,7 @@ class TestConfigFile:
 
     def test_override_section_is_stripped_before_lookup(self, ini_path):
         config, _ = load_config(ini_path, ["bias .delta_mu=3"])
-        assert config.delta_mu == 3.0
+        assert config.lead_L.chem_potential - config.lead_R.chem_potential == 3.0
         with pytest.raises(ConfigError, match=r"unknown section \[newsec\]"):
             load_config(ini_path, ["bias .delta_mu=3", "newsec .x=1"])
         parser = configparser.ConfigParser()

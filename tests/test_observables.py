@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qdmr.observables import (
-    UndefinedObservableError,
     build_report,
     classify_mode,
     default_mode_tol,
@@ -136,24 +135,14 @@ class TestModeClassification:
 class TestEfficiencies:
     def test_eta_converter(self):
         assert eta_converter(0.5, -0.2, 6.0) == pytest.approx(15.0, rel=1e-14)
-        with pytest.raises(UndefinedObservableError):
-            eta_converter(0.5, 0.0, 6.0)
+        assert eta_converter(0.5, 0.0, 6.0) is None
 
     def test_eta_heater_default_reference_limit(self):
-        val = eta_heater(2.0, 1.5, -0.8, 13.0, 7.8)
+        val = eta_heater(2.0, -0.8, 13.0, 7.8)
         assert val == pytest.approx((1.0 - 7.8 / 13.0) * 2.0 / 0.8, rel=1e-14)
 
-    def test_eta_heater_explicit_reference(self):
-        t_hot, t_cold, t_ref = 13.0, 7.8, 9.0
-        val = eta_heater(2.0, 1.5, -0.8, t_hot, t_cold, t_ref)
-        denom = 1.5 * (1.0 - t_ref / t_cold) + 0.8
-        assert val == pytest.approx(2.0 * (1.0 - t_ref / t_hot) / denom, rel=1e-14)
-
-    def test_eta_heater_rejects_reference_outside_band(self):
-        with pytest.raises(ValueError):
-            eta_heater(2.0, 1.5, -0.8, 13.0, 7.8, 15.0)
-        with pytest.raises(UndefinedObservableError):
-            eta_heater(2.0, 1.5, 0.0, 13.0, 7.8)
+    def test_eta_heater_is_none_at_zero_power(self):
+        assert eta_heater(2.0, 0.0, 13.0, 7.8) is None
 
 
 class TestBuildReport:

@@ -147,20 +147,20 @@ class TestRadialProfile:
 
     def test_rotational_symmetry_of_fock_states(self):
         rho = fock_matrix(2, 20)
-        base = radial_profile(rho, 0.0, 0.0, r_max=8.0)
+        base = radial_profile(rho, 0.0, 0.0)
         for phi in (0.9, 2.5, 4.4):
-            other = radial_profile(rho, 0.0, phi, r_max=8.0)
+            other = radial_profile(rho, 0.0, phi)
             np.testing.assert_allclose(other.values, base.values, atol=1e-10)
 
     def test_auto_extent_reaches_the_tail(self):
         rho = thermal_matrix(2.0, 60)
         prof = radial_profile(rho, 0.0, 0.0)
-        assert prof.values[-1] * prof.raw_integral < 1e-9
+        assert husimi(rho, prof.radii[-1]) < 1e-9
 
     def test_zero_ray_raises(self):
         rho = fock_matrix(0, 8)
         with pytest.raises(InvalidStateError):
-            radial_profile(rho, 30.0, 0.0, r_max=2.0)
+            radial_profile(rho, 30.0, 0.0)
 
 
 class TestProfileContribution:
@@ -183,7 +183,7 @@ class TestProfileContribution:
         values = np.zeros_like(radii)
         values[2] = 1.0 / 0.02
         prof = RadialProfile(
-            phi=0.0, radii=radii, values=values, raw_integral=1.0, dr=0.02
+            phi=0.0, radii=radii, values=values, dr=0.02
         )
         with pytest.raises(EntropyDegenerateError):
             profile_contribution(prof)

@@ -65,7 +65,7 @@ class TestReferenceConfig:
         config = validation.reference_config()
         assert config.system.lam == 0.7
         assert config.lead_L.temperature == pytest.approx(13.0920339, abs=1e-6)
-        assert config.delta_mu == 0.0
+        assert config.lead_L.chem_potential - config.lead_R.chem_potential == 0.0
 
     def test_temperature_difference_lowers_right_lead(self):
         config = validation.reference_config(delta_t_mk=40.0)
