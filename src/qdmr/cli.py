@@ -110,6 +110,13 @@ def _cmd_point(args) -> int:
     config, _ = _load(args)
     result = sweep.run_point(config)
     lines = [f"{key} = {value}" for key, value in result.row(OUTPUT_GROUPS).items()]
+    tail = result.lab_state.fock_tail if result.lab_state is not None else float("nan")
+    lines.append(f"fock_tail = {tail}")
+    if tail >= sweep.ADAPTIVE_TAIL_TOL:
+        lines.append(
+            f"warning = Fock tail {tail:.2e} >= {sweep.ADAPTIVE_TAIL_TOL:g} at n_cut = {result.n_cut}; "
+            "outputs may not be converged in the cutoff"
+        )
     for warning in validate_regime(config):
         lines.append(f"warning = {warning}")
     text = "\n".join(lines) + "\n"

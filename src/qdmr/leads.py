@@ -15,9 +15,11 @@ with z1,2 = 1/2 + (+/-delta + i(mu - c))/(2pi*T).
 
 Only live pole terms are evaluated: a term e^{-nu_k s} below e^-50 (about
 2e-22) is dropped, in the directly summed poles and in their tail alike.
-A block of poles from nu on is evaluated only at 0 < s <= 50/nu, so a call
-on the default 801-point grid of the reference leads costs about 8-11k
-exponentials (under 1 ms), not 801 x 256 = 205k.
+Term k is live at s > 0 iff nu_k s <= 50, so each time has its own count
+of live poles, and every live (time, pole) term is evaluated in one gather.
+On the default 801-point grid of the reference leads (delta_mu = -40,
+delta_t_mk = 40) lead L has 1713 live terms and lead R 2262, not
+801 x 256 = 205k.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from scipy.special import digamma, exp1
 from .model import LeadParams
 
 DECAY_THRESHOLD = 0.01  # fraction of |C(0)| below which the bath memory has decayed
-POLE_CHUNK = 16  # Matsubara poles per block of the direct sum
+TERM_BLOCK = 2**16  # live (time, pole) terms gathered per pass of the direct sum
 
 
 def fermi(energy, mu: float, temperature: float):
@@ -98,12 +100,14 @@ def bath_correlation(lead: LeadParams, times: np.ndarray | None = None) -> Corre
 
     The module docstring's pole sum: K = max(256, 16 max|z|) Matsubara poles
     summed directly, the rest by Euler-Maclaurin (error ~ K^-5) on a pair of
-    exponential integrals, so no time grid costs more poles.  The direct sum
-    runs over blocks of ``POLE_CHUNK`` poles (at most 2^20 times x poles)
-    and evaluates a block only at the times s > 0 where its largest term
-    e^{-s nu} is at least e^-50; s = 0 is the digamma closed form.  So no
-    times x poles array is built, and a default-grid call holds well under
-    1 MiB.  F(-s) = conj(F(s)).  Times are in ns (reciprocal angular GHz).
+    exponential integrals, so no time grid costs more poles.  A time s > 0
+    sums its count = min(K, floor(50/(2 pi T s) + 1/2)) live poles in pole
+    order; the flat (time, pole) terms are gathered with ``np.repeat`` and
+    summed per time with ``np.bincount``, at most ``TERM_BLOCK`` terms per
+    pass over a block of times, so the bits of a time do not depend on the
+    grid around it.  s = 0 is the digamma closed form.  A default-grid call
+    makes one pass and holds well under 1 MiB.  F(-s) = conj(F(s)).  Times
+    are in ns (reciprocal angular GHz).
     """
     if times is None:
         # 20 memory times (window width or thermal time), at least 2 ns
@@ -122,17 +126,21 @@ def bath_correlation(lead: LeadParams, times: np.ndarray | None = None) -> Corre
     k_direct = max(256, int(16.0 * np.abs(z).max()))
     nu = h * (np.arange(k_direct) + 0.5)
     window = g * d * d / ((mu - c - 1j * nu) ** 2 + d * d)
-    window_ri = window.view(float).reshape(-1, 2)  # rows (re, im): one real product per block
+    # nu_k s <= 50 iff k + 1/2 <= 50/(h s): floor(50/(h s) + 1/2) live poles; none at s = 0
+    reach = np.divide(50.0 / h, s, out=np.zeros_like(s), where=s > 0.0)
+    count = np.minimum(k_direct, np.floor(reach + 0.5)).astype(np.intp)
+    ends = np.cumsum(count)  # one past each time's last term in the flat order
     series = np.zeros(s.size, dtype=complex)
-    chunk = min(POLE_CHUNK, max(1, 2**20 // max(s.size, 1)))  # at most 2^20 times x poles
-    for start in range(0, k_direct, chunk):
-        # s = 0 gets the digamma closed form below; at the other times only
-        # chunks whose largest term exp(-s*nu[start]) is at least e^-50 count
-        live = np.flatnonzero((s > 0.0) & (nu[start] * s <= 50.0))
-        if live.size == 0:
-            break  # nu grows, so every later chunk is below e^-50 too
-        decay = np.exp(-np.outer(s[live], nu[start : start + chunk]))
-        series[live] += (decay @ window_ri[start : start + chunk]).view(complex)[:, 0]
+    start = 0
+    while start < s.size:  # a pass takes the times whose terms fit in TERM_BLOCK
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - count[start] + TERM_BLOCK, "right")))
+        n = count[start:stop]
+        rows = np.repeat(np.arange(n.size), n)
+        poles = np.arange(rows.size) - np.repeat(np.cumsum(n) - n, n)
+        decay = np.exp(-s[start:stop][rows] * nu[poles])
+        series.real[start:stop] = np.bincount(rows, decay * window.real[poles], n.size)
+        series.imag[start:stop] = np.bincount(rows, decay * window.imag[poles], n.size)
+        start = stop
     nu_k = h * k_direct
     tail = (s > 0.0) & (nu_k * s < 50.0)  # beyond, the tail is below e^-50
     st = s[tail, None]

@@ -56,9 +56,9 @@ def reduce_resonator(state: BlockDensityMatrix) -> tuple[np.ndarray, float]:
 
 
 def husimi(rho_qmr: np.ndarray, alpha) -> np.ndarray | float:
-    """Q(alpha) = <alpha| rho |alpha> / pi, vectorized over alpha."""
+    """Q(alpha) = <alpha| rho |alpha> / pi, vectorized over alpha (the product with rho on BLAS)."""
     c = coherent_overlap(alpha, rho_qmr.shape[0])
-    q = np.einsum("...k,kl,...l->...", c.conj(), rho_qmr, c).real / math.pi
+    q = ((c.conj() @ rho_qmr) * c).sum(-1).real / math.pi
     if q.ndim == 0:
         return float(q)
     return q

@@ -403,6 +403,12 @@ def husimi_thermal(nbar: float, alpha: complex) -> float:
     return math.exp(-abs(alpha) ** 2 / (1.0 + nbar)) / (math.pi * (1.0 + nbar))
 
 
+def husimi_einsum(rho: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """<alpha| rho |alpha> / pi from the overlap vectors <k|alpha> (Fock index
+    last), contracted by ``np.einsum`` as ``phasespace.husimi`` once was."""
+    return np.einsum("...k,kl,...l->...", overlaps.conj(), rho, overlaps).real / math.pi
+
+
 def rearrangement_gap_ref(radii, values, dr: float) -> float:
     """Radius-weighted distance to the sorted-descending profile, by loop."""
     ordered = sorted(values, reverse=True)

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -87,6 +88,38 @@ class TestPoint:
         assert code == 0
         assert "current_R = " in target.read_text()
         assert capsys.readouterr().out == ""
+
+    @staticmethod
+    def _tail_lines(argv, capsys, code: int = 0) -> tuple[float, list[str]]:
+        assert main(argv) == code
+        lines = capsys.readouterr().out.splitlines()
+        tail = [float(l.split(" = ")[1]) for l in lines if l.startswith("fock_tail = ")]
+        assert len(tail) == 1
+        return tail[0], [l for l in lines if l.startswith("warning = Fock tail")]
+
+    def test_prints_the_fock_tail_and_warns_when_it_is_not_small(self, ini, capsys):
+        # the top tenth of the levels holds about 1.3e-3 at n_cut = 12, 4.9e-7 at 30
+        tail, warned = self._tail_lines(["point", "--config", ini], capsys)
+        assert tail >= sweep.ADAPTIVE_TAIL_TOL
+        assert warned == [
+            f"warning = Fock tail {tail:.2e} >= 1e-06 at n_cut = 12; outputs may not be converged in the cutoff"
+        ]
+        tail, warned = self._tail_lines(["point", "--config", ini, "--set", "system.n_cut=30"], capsys)
+        assert 0.0 < tail < sweep.ADAPTIVE_TAIL_TOL
+        assert warned == []
+
+    def test_fock_tail_is_nan_without_a_lab_state(self, ini, capsys, monkeypatch):
+        tail, warned = self._tail_lines(["point", "--config", ini, "--set", "system.lam=0.0"], capsys)
+        assert math.isnan(tail)
+        assert warned == []
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(sweep, "evaluate_point", fail)  # an error row has no lab state either
+        tail, warned = self._tail_lines(["point", "--config", ini], capsys, code=2)
+        assert math.isnan(tail)
+        assert warned == []
 
     def test_missing_config_exits_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdmr.leads import bath_correlation, fermi, rate_in, rate_out, tunneling_rate
+from qdmr.leads import TERM_BLOCK, bath_correlation, fermi, rate_in, rate_out, tunneling_rate
 from qdmr.validation import reference_config
 
 from conftest import make_config
@@ -101,7 +101,7 @@ CORRELATION_CASES = {
 LONG_FINE_GRID = np.linspace(0.0, 2**17 * 1e-6, 2**17 + 1)
 
 # unsorted and non-uniform, with negative times and a repeated 0; some
-# times sit near where a block of poles drops below e^-50 at the reference
+# times sit near where a pole's term drops below e^-50 at the reference
 # temperature (s*nu = 50 for nu = 2pi*T*(k + 1/2), k = 0, 16, 32)
 MIXED_GRID = np.array(
     [0.7, -0.03, 0.0, 2.5, 1e-5, -1.1, 0.0, 0.004, 0.31, -0.0007, 1.2154, 0.0368, -0.0187, 0.0186, 5.0]
@@ -145,11 +145,24 @@ class TestLivePoles:
         np.testing.assert_equal(trace.decay_time, ref["decay_time"])  # nan when not converged
 
     def test_long_fine_grid_matches_the_all_poles_sum_at_a_subsample(self):
-        # 2^17 times allow only 7 poles per block (2^20 entries)
+        # about 3M live terms: many passes of TERM_BLOCK terms each
         lead = make_config().lead_L
         trace = bath_correlation(lead, LONG_FINE_GRID)
         ref = bath_correlation_all_poles(lead, LONG_FINE_GRID[:: 2**5])
         _assert_matches_all_poles(trace, ref, slice(None, None, 2**5))
+
+    def test_blocking_over_times_changes_no_bit(self):
+        # each time's terms are summed in pole order, so calls on pieces of
+        # the grid, split inside a pass of the whole call, give the same bits
+        lead = make_config().lead_L
+        h = 2.0 * np.pi * lead.temperature
+        s = LONG_FINE_GRID[1:]
+        assert np.minimum(256, np.floor(50.0 / (h * s) + 0.5)).sum() > 10 * TERM_BLOCK
+        whole = bath_correlation(lead, LONG_FINE_GRID)
+        # the first pass holds TERM_BLOCK / 256 > 100 times of 256 live poles
+        pieces = [bath_correlation(lead, LONG_FINE_GRID[i:j]) for i, j in ((0, 100), (100, 70001), (70001, None))]
+        for kind in ("c_out", "c_in"):
+            np.testing.assert_array_equal(getattr(whole, kind), np.concatenate([getattr(p, kind) for p in pieces]))
 
     def test_default_grid_builds_no_times_x_poles_array(self):
         # 801 times x 256 poles of float64 is 1.6 MB; the live blocks stay

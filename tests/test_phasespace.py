@@ -18,12 +18,14 @@ from qdmr.phasespace import (
     reduce_resonator,
     torotropy,
 )
+from qdmr.phonon import coherent_overlap
 from qdmr.redfield import BlockDensityMatrix, FrameError
 
 from conftest import make_config, solve_point
 from oracles import (
     coherent_vector,
     husimi_coherent,
+    husimi_einsum,
     husimi_fock,
     husimi_thermal,
     passive_energy_brute,
@@ -116,6 +118,21 @@ class TestHusimi:
         assert q.shape == grid.shape
         integral = q.sum() * (xs[1] - xs[0]) ** 2
         assert integral == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (9, 11)])
+    def test_blas_form_matches_the_einsum_contraction(self, shape):
+        # the two contractions sum in different orders; each is within the
+        # 2n-term rounding bound n*eps of the absolute-value form
+        _, _, _, lab, _ = solve_point(make_config(lam=1.4, delta_mu=-50.0, n_cut=20))
+        rho, _ = reduce_resonator(lab)
+        rng = np.random.default_rng(7)
+        alpha = rng.uniform(-4.0, 4.0, shape) + 1j * rng.uniform(-4.0, 4.0, shape)
+        alpha = complex(alpha) if shape == () else alpha
+        q = husimi(rho, alpha)
+        assert isinstance(q, float) == (shape == ())
+        c = coherent_overlap(alpha, rho.shape[0])
+        bound = 2 * rho.shape[0] * np.finfo(float).eps * husimi_einsum(np.abs(rho), np.abs(c))
+        assert np.all(np.abs(q - husimi_einsum(rho, c)) <= bound)
 
 
 class TestBarycenter:
