@@ -13,13 +13,14 @@ nu_k = pi*T*(2k+1), give -/+ i*T sum_k window(mu - i*nu_k) e^{-i*mu*s - nu_k*s}.
 At s = 0 that Matsubara series is -/+ i*gamma*delta/(4pi) (psi(z2) - psi(z1))
 with z1,2 = 1/2 + (+/-delta + i(mu - c))/(2pi*T).
 
-Only live pole terms are evaluated: a term e^{-nu_k s} below e^-50 (about
-2e-22) is dropped, in the directly summed poles and in their tail alike.
-Term k is live at s > 0 iff nu_k s <= 50, so each time has its own count
-of live poles, and every live (time, pole) term is evaluated in one gather.
-On the default 801-point grid of the reference leads (delta_mu = -40,
-delta_t_mk = 40) lead L has 1713 live terms and lead R 2262, not
-801 x 256 = 205k.
+The traces live on one grid: 801 times from 0 to max(2 ns, 20 max(1/delta,
+1/T)).  Only live pole terms are evaluated: a term e^{-nu_k s} below e^-50
+(about 2e-22) is dropped.  Term k is live at s > 0 iff nu_k s <= 50, so a
+time has floor(50/(2 pi T s) + 1/2) live poles, and every live (time, pole)
+term is evaluated in one gather.  The grid step is at least 1/(40 T), so
+2 pi T s >= pi/20 and no time has more than 318 live poles: a call costs at
+most about 2.7k exponentials.  On the reference leads (delta_mu = -40,
+delta_t_mk = 40) lead L has 1713 live terms and lead R 2262.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, exp1
+from scipy.special import digamma
 
 from .model import LeadParams
 
 DECAY_THRESHOLD = 0.01  # fraction of |C(0)| below which the bath memory has decayed
-TERM_BLOCK = 2**16  # live (time, pole) terms gathered per pass of the direct sum
 
 
 def fermi(energy, mu: float, temperature: float):
@@ -95,66 +95,43 @@ class CorrelationTrace:
     converged: bool
 
 
-def bath_correlation(lead: LeadParams, times: np.ndarray | None = None) -> CorrelationTrace:
+def bath_correlation(lead: LeadParams) -> CorrelationTrace:
     """Evaluate both bath correlators and estimate the memory time.
 
-    The module docstring's pole sum: K = max(256, 16 max|z|) Matsubara poles
-    summed directly, the rest by Euler-Maclaurin (error ~ K^-5) on a pair of
-    exponential integrals, so no time grid costs more poles.  A time s > 0
-    sums its count = min(K, floor(50/(2 pi T s) + 1/2)) live poles in pole
-    order; the flat (time, pole) terms are gathered with ``np.repeat`` and
-    summed per time with ``np.bincount``, at most ``TERM_BLOCK`` terms per
-    pass over a block of times, so the bits of a time do not depend on the
-    grid around it.  s = 0 is the digamma closed form.  A default-grid call
-    makes one pass and holds well under 1 MiB.  F(-s) = conj(F(s)).  Times
-    are in ns (reciprocal angular GHz).
+    The grid has 801 times from 0 to 20 memory times (window width 1/delta
+    or thermal time 1/T), at least 2 ns; times are in ns (reciprocal angular
+    GHz).  s = 0 is the digamma closed form.  A time s > 0 sums its
+    floor(50/(2 pi T s) + 1/2) live Matsubara poles directly, in pole order:
+    the flat (time, pole) terms are gathered with ``np.repeat`` and summed
+    per time with ``np.bincount``.  The step is at least 20/(800 T), so
+    2 pi T s >= pi/20 and no time has more than 318 live poles; a call
+    evaluates at most about 2.7k exponentials and holds well under 1 MiB.
     """
-    if times is None:
-        # 20 memory times (window width or thermal time), at least 2 ns
-        t_scale = max(1.0 / lead.delta, 1.0 / lead.temperature)
-        times = np.linspace(0.0, max(2.0, 20.0 * t_scale), 801)
-    times = np.asarray(times, dtype=float)
-    s = np.abs(times)
+    t_scale = max(1.0 / lead.delta, 1.0 / lead.temperature)
+    times = np.linspace(0.0, max(2.0, 20.0 * t_scale), 801)
+    s = times[1:]
     g, d, c, mu = lead.gamma_rate, lead.delta, lead.gamma_center, lead.chem_potential
     h = 2.0 * np.pi * lead.temperature
-    # window(mu - i*nu) = g*d/2 * sum(sign / (nu + a)) = g*d/(2h) * sum(sign / (k + z))
-    a, sign = np.array([d, -d]) + 1j * (mu - c), np.array([1.0, -1.0])
-    z = 0.5 + a / h
     x = (c - 1j * d - mu) / lead.temperature  # Fermi function at the Lorentzian pole
     f_pole = 1.0 / (np.exp(x) + 1.0) if x.real <= 0.0 else np.exp(-x) / (1.0 + np.exp(-x))
-    lorentz = 0.5 * g * d * np.exp(-1j * (c - 1j * d) * s)
-    k_direct = max(256, int(16.0 * np.abs(z).max()))
-    nu = h * (np.arange(k_direct) + 0.5)
+    lorentz = 0.5 * g * d * np.exp(-1j * (c - 1j * d) * times)
+    # nu_k s <= 50 iff k + 1/2 <= 50/(h s): floor(50/(h s) + 1/2) live poles
+    count = np.floor(50.0 / h / s + 0.5).astype(np.intp)
+    nu = h * (np.arange(count[0]) + 0.5)  # the first time has the most live poles
     window = g * d * d / ((mu - c - 1j * nu) ** 2 + d * d)
-    # nu_k s <= 50 iff k + 1/2 <= 50/(h s): floor(50/(h s) + 1/2) live poles; none at s = 0
-    reach = np.divide(50.0 / h, s, out=np.zeros_like(s), where=s > 0.0)
-    count = np.minimum(k_direct, np.floor(reach + 0.5)).astype(np.intp)
-    ends = np.cumsum(count)  # one past each time's last term in the flat order
-    series = np.zeros(s.size, dtype=complex)
-    start = 0
-    while start < s.size:  # a pass takes the times whose terms fit in TERM_BLOCK
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - count[start] + TERM_BLOCK, "right")))
-        n = count[start:stop]
-        rows = np.repeat(np.arange(n.size), n)
-        poles = np.arange(rows.size) - np.repeat(np.cumsum(n) - n, n)
-        decay = np.exp(-s[start:stop][rows] * nu[poles])
-        series.real[start:stop] = np.bincount(rows, decay * window.real[poles], n.size)
-        series.imag[start:stop] = np.bincount(rows, decay * window.imag[poles], n.size)
-        start = stop
-    nu_k = h * k_direct
-    tail = (s > 0.0) & (nu_k * s < 50.0)  # beyond, the tail is below e^-50
-    st = s[tail, None]
-    series[tail] += 0.5 * g * d * (
-        np.exp(a * st) * exp1((nu_k + a) * st) / h
-        - h / 24.0 * np.exp(-nu_k * st) * (1.0 / (nu_k + a) ** 2 + st / (nu_k + a))
-    ) @ sign
-    series[s == 0.0] = 0.5 * g * d / h * (digamma(z[1]) - digamma(z[0]))
-    matsubara = 0.5j * h / np.pi * np.exp(-1j * mu * s) * series
+    rows = np.repeat(np.arange(s.size), count)
+    poles = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    decay = np.exp(-s[rows] * nu[poles])
+    series = np.empty(times.size, dtype=complex)
+    series.real[1:] = np.bincount(rows, decay * window.real[poles], s.size)
+    series.imag[1:] = np.bincount(rows, decay * window.imag[poles], s.size)
+    # window(mu - i*nu) = g*d/(2h) * sum(sign / (k + z)) over z1,2 = 1/2 + (+/-d + i(mu - c))/h
+    z = 0.5 + (np.array([d, -d]) + 1j * (mu - c)) / h
+    series[0] = 0.5 * g * d / h * (digamma(z[1]) - digamma(z[0]))
+    matsubara = 0.5j * h / np.pi * np.exp(-1j * mu * times) * series
 
     c_out = lorentz * (1.0 - f_pole) - matsubara
     c_in = np.conj(lorentz * f_pole + matsubara)
-    neg = times < 0.0
-    c_out[neg], c_in[neg] = np.conj(c_out[neg]), np.conj(c_in[neg])
 
     env = np.maximum(np.abs(c_out) / abs(c_out[0]), np.abs(c_in) / abs(c_in[0]))
     above = np.nonzero(env >= DECAY_THRESHOLD)[0]

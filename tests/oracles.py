@@ -147,17 +147,17 @@ def bath_correlation_quad(lead, kind: str, s: float) -> complex:
     return complex(parts[0], sign * parts[1]) / (2.0 * math.pi)
 
 
-def bath_correlation_all_poles(lead, times=None, threshold: float = 0.01) -> dict:
-    """The pole sum of ``qdmr.leads.bath_correlation`` with every one of the
-    K directly summed Matsubara poles evaluated at every time, s = 0 included
-    (and then overwritten by the digamma closed form), as one dense times x
-    poles product per chunk.  Returns ``c_out``, ``c_in``, ``decay_time`` and
-    ``converged``, the memory time found as in the package."""
-    if times is None:
-        t_scale = max(1.0 / lead.delta, 1.0 / lead.temperature)
-        times = np.linspace(0.0, max(2.0, 20.0 * t_scale), 801)
-    times = np.asarray(times, dtype=float)
-    s = np.abs(times)
+def bath_correlation_all_poles(lead) -> dict:
+    """The pole sum that ``qdmr.leads.bath_correlation`` made before it summed
+    only the live poles, kept as an independent reference on the same default
+    grid: the first K = max(256, 16 max|z|) Matsubara poles are evaluated at
+    every time, s = 0 included (and then overwritten by the digamma closed
+    form), as one dense times x poles product per chunk, and the poles past K
+    by Euler-Maclaurin (error ~ K^-5) on a pair of exponential integrals.
+    Returns ``c_out``, ``c_in``, ``decay_time`` and ``converged``, the memory
+    time found as in the package."""
+    t_scale = max(1.0 / lead.delta, 1.0 / lead.temperature)
+    s = np.linspace(0.0, max(2.0, 20.0 * t_scale), 801)
     g, d, c, mu = lead.gamma_rate, lead.delta, lead.gamma_center, lead.chem_potential
     h = 2.0 * np.pi * lead.temperature
     a, sign = np.array([d, -d]) + 1j * (mu - c), np.array([1.0, -1.0])
@@ -169,7 +169,7 @@ def bath_correlation_all_poles(lead, times=None, threshold: float = 0.01) -> dic
     nu = h * (np.arange(k_direct) + 0.5)
     window = g * d * d / ((mu - c - 1j * nu) ** 2 + d * d)
     series = np.zeros(s.size, dtype=complex)
-    chunk = max(1, 2**20 // max(s.size, 1))
+    chunk = 2**20 // s.size
     for start in range(0, k_direct, chunk):
         series += np.exp(-np.outer(s, nu[start : start + chunk])) @ window[start : start + chunk]
     nu_k = h * k_direct
@@ -184,17 +184,13 @@ def bath_correlation_all_poles(lead, times=None, threshold: float = 0.01) -> dic
 
     c_out = lorentz * (1.0 - f_pole) - matsubara
     c_in = np.conj(lorentz * f_pole + matsubara)
-    neg = times < 0.0
-    c_out[neg], c_in[neg] = np.conj(c_out[neg]), np.conj(c_in[neg])
 
     env = np.maximum(np.abs(c_out) / abs(c_out[0]), np.abs(c_in) / abs(c_in[0]))
-    above = np.nonzero(env >= threshold)[0]
-    if above.size == 0:
-        decay_time, converged = float(times[0]), True
-    elif above[-1] == times.size - 1:
+    above = np.nonzero(env >= 0.01)[0]  # the package's DECAY_THRESHOLD
+    if above[-1] == s.size - 1:
         decay_time, converged = float("nan"), False
     else:
-        decay_time, converged = float(times[above[-1] + 1]), True
+        decay_time, converged = float(s[above[-1] + 1]), True
     return {"c_out": c_out, "c_in": c_in, "decay_time": decay_time, "converged": converged}
 
 
