@@ -11,11 +11,9 @@ from .redfield import (
     BlockDensityMatrix,
     Liouvillian,
     RedfieldTensors,
-    Solution,
     SteadyStateError,
     assemble_liouvillian,
     build_tensors,
-    solve,
     steady_state,
     to_lab_frame,
 )
@@ -28,14 +26,12 @@ __all__ = [
     "Liouvillian",
     "ModelConfig",
     "RedfieldTensors",
-    "Solution",
     "SteadyStateError",
     "SystemParams",
     "angular_ghz",
     "assemble_liouvillian",
     "build_tensors",
     "ghz_from_mk",
-    "solve",
     "steady_state",
     "to_lab_frame",
     "__version__",

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .leads import rate_in, rate_out
-from .model import LeadParams, ModelConfig
+from .model import ModelConfig
 from .phonon import displacement_matrix
 
 
@@ -87,9 +87,9 @@ class BlockDensityMatrix:
 
 @dataclass(frozen=True)
 class RedfieldTensors:
-    """Per-lead transition tensors in factored form."""
+    """Per-lead transition tensors in factored form; ``build_tensors`` gives
+    both leads' tensors the same displacement matrix object."""
 
-    n_cut: int
     displacement: np.ndarray
     w_in: np.ndarray
     w_out: np.ndarray
@@ -117,8 +117,7 @@ class RedfieldTensors:
 
         Both vanish identically at lam = 0.
         """
-        n = self.n_cut
-        idx = np.arange(n, dtype=float)
+        idx = np.arange(self.w_in.shape[0], dtype=float)
         jw = np.diag(idx)
         d = self.displacement
         s01 = self.v_in.T @ jw @ d
@@ -130,20 +129,21 @@ class RedfieldTensors:
         return s01 - s00, s11 - s10
 
 
-def build_tensors(config: ModelConfig, lead: LeadParams) -> RedfieldTensors:
-    """Evaluate the factored transition tensors for one lead."""
+def build_tensors(config: ModelConfig) -> tuple[RedfieldTensors, RedfieldTensors]:
+    """The factored transition tensors of both leads, (L, R), on one level grid
+    and one displacement matrix."""
     n = config.system.n_cut
-    omega = config.system.omega
     idx = np.arange(n)
-    eps = config.system.mu_tilde - omega * (idx[:, None] - idx[None, :])
+    eps = config.system.mu_tilde - config.system.omega * (idx[:, None] - idx[None, :])
     d = displacement_matrix(config.system.lam, n)
-    r_in = rate_in(eps, lead)
-    r_out = rate_out(eps, lead)
-    w_in = np.einsum("ai,ia,ib->ab", r_in, d, d)
-    w_out = np.einsum("ia,ai,bi->ab", r_out, d, d)
-    v_in = d * r_in.T
-    v_out = d.T * r_out
-    return RedfieldTensors(n_cut=n, displacement=d, w_in=w_in, w_out=w_out, v_in=v_in, v_out=v_out)
+    tensors = []
+    for lead in config.leads:
+        r_in = rate_in(eps, lead)
+        r_out = rate_out(eps, lead)
+        w_in = np.einsum("ai,ia,ib->ab", r_in, d, d)
+        w_out = np.einsum("ia,ai,bi->ab", r_out, d, d)
+        tensors.append(RedfieldTensors(displacement=d, w_in=w_in, w_out=w_out, v_in=d * r_in.T, v_out=d.T * r_out))
+    return tensors[0], tensors[1]
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class Liouvillian:
     The dense 2N^2 x 2N^2 complex matrix is never stored; ``_row_blocks``
     builds it N rows at a time, the rows (j, m), m < N, of one block and
     Fock index j.  Held instead, all O(N^3): each
-    lead's gain factors with their N x N^2 tiles (see ``_GainFactors``),
+    gain block's factors with their N x N^2 tiles (see ``_GainFactors``),
     the lead-summed loss on the only columns where it can be nonzero (see
     ``_loss_lines``), and the coherent diagonal.  ``decoupled`` is set from
     the coupling (lam == 0): the displacement is then the identity, every
@@ -176,23 +176,22 @@ class Liouvillian:
 
 
 class _GainFactors(NamedTuple):
-    """One gain block's factors, stacked over leads: the pair (a, b) of each
-    lead, and their tiles tile(x)[m] = np.tile(x[m], N).
+    """One gain block's factors: the lead-side a of each lead, stacked, the
+    D-side b that every lead shares, and their tiles tile(x)[m] = np.tile(x[m], N).
 
     Row (j, m) of kron(a, b) + kron(b, a) is then
     repeat(a[j], N) * tile(b)[m] + repeat(b[j], N) * tile(a)[m].
     """
 
     a: np.ndarray  # (leads, N, N)
-    b: np.ndarray
+    b: np.ndarray  # (N, N)
     tile_a: np.ndarray  # (leads, N, N^2)
-    tile_b: np.ndarray
+    tile_b: np.ndarray  # (N, N^2)
 
 
-def _gain_factors(pairs: list[tuple[np.ndarray, np.ndarray]]) -> _GainFactors:
-    n = pairs[0][0].shape[0]
-    a = np.stack([pair[0] for pair in pairs])
-    b = np.stack([pair[1] for pair in pairs])
+def _gain_factors(leads_a: list[np.ndarray], b: np.ndarray) -> _GainFactors:
+    n = b.shape[0]
+    a = np.stack(leads_a)
     return _GainFactors(a, b, np.tile(a, n), np.tile(b, n))
 
 
@@ -223,14 +222,17 @@ def assemble_liouvillian(
     """Factored generator of coherent evolution and all leads' tensors.
 
     Each gain block, the sum over leads of (kron(a, b) + kron(b, a)) / 2,
-    is kept as the leads' factors and their tiles: 64 N^3 bytes for the
-    two, where the blocks themselves would take 16 N^4.
+    is kept as the leads' factors a, the one D-side factor b (D^T into rho0,
+    D into rho1) and their tiles: 48 N^3 bytes for the two, where the
+    blocks themselves would take 16 N^4.  The leads' tensors must share D,
+    as those of ``build_tensors`` do.
     """
     n = config.system.n_cut
     omega = config.system.omega
+    d = tensors[0].displacement
     gain = (
-        _gain_factors([(t.v_out, t.displacement.T) for t in tensors]),
-        _gain_factors([(t.v_in, t.displacement) for t in tensors]),
+        _gain_factors([t.v_out for t in tensors], d.T),
+        _gain_factors([t.v_in for t in tensors], d),
     )
     loss = (_loss_lines([t.w_in.T for t in tensors]), _loss_lines([t.w_out.T for t in tensors]))
     jm = np.arange(n)
@@ -268,10 +270,11 @@ def _row_blocks(liou: Liouvillian) -> Iterator[tuple[int, np.ndarray]]:
             at_a_m[...] = along_a[j]
             own3[:, j] = along_b[j]  # the columns (j, b)
             flat[start :: dim + 1] += liou.coherent[j]
+            b_j = factors.b[j].repeat(n)
             acc = 0.0  # the assembly's start; then each lead's term, in lead order
-            for a, b, tile_a, tile_b in zip(*factors):
-                term = a[j].repeat(n) * tile_b
-                term += b[j].repeat(n) * tile_a
+            for a, tile_a in zip(factors.a, factors.tile_a):
+                term = a[j].repeat(n) * factors.tile_b
+                term += b_j * tile_a
                 term *= 0.5
                 acc = acc + term
             gain[...] = acc
@@ -399,24 +402,3 @@ def to_lab_frame(state: BlockDensityMatrix, displacement: np.ndarray) -> BlockDe
         rho1=displacement.T @ state.rho1 @ displacement,
         frame="lab",
     )
-
-
-@dataclass(frozen=True)
-class Solution:
-    """One solved operating point; ``lab`` is None exactly when the generator is
-    decoupled (lam = 0), whose phonon sector is not unique."""
-
-    tensors: tuple[RedfieldTensors, RedfieldTensors]  # (L, R)
-    polaron: BlockDensityMatrix
-    lab: BlockDensityMatrix | None
-    info: SteadyStateInfo
-
-
-def solve(config: ModelConfig) -> Solution:
-    """Tensors, generator, stationary state and lab frame of one operating point."""
-    tensors = (build_tensors(config, config.lead_L), build_tensors(config, config.lead_R))
-    liou = assemble_liouvillian(config, tensors)
-    state, info = steady_state(liou)
-    lab = None if info.method == "decoupled" else to_lab_frame(state, tensors[0].displacement)
-    return Solution(tensors=tensors, polaron=state, lab=lab, info=info)
-

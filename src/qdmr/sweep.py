@@ -101,10 +101,14 @@ class PointResult:
 
 
 def evaluate_point(config: ModelConfig, outputs: tuple[str, ...] = OUTPUT_GROUPS) -> PointResult:
-    """Solve, phase space (``phasespace`` group) and report at the config's own cutoff;
-    raises on failure.  ``run_point``, the validation suites and the phonon exports use it."""
-    sol = redfield.solve(config)
-    lab = sol.lab
+    """Tensors, generator, stationary state, lab frame, phase space (``phasespace``
+    group) and report at the config's own cutoff; raises on failure.  ``run_point``,
+    the validation suites and the phonon exports use it.  ``lab_state`` is None
+    exactly when the generator is decoupled (lam = 0), whose phonon sector is not
+    unique."""
+    tensors = redfield.build_tensors(config)
+    polaron, info = redfield.steady_state(redfield.assemble_liouvillian(config, tensors))
+    lab = None if info.method == "decoupled" else redfield.to_lab_frame(polaron, tensors[0].displacement)
 
     tq_result = None
     ergo = None
@@ -113,18 +117,18 @@ def evaluate_point(config: ModelConfig, outputs: tuple[str, ...] = OUTPUT_GROUPS
         ergo = phasespace.ergotropy(tq_result.rho, config.system.omega)
 
     report = observables.build_report(
-        config, sol.polaron, lab, *sol.tensors,
+        config, polaron, lab, *tensors,
         torotropy_value=tq_result.value if tq_result else None,
     )
     return PointResult(
         status="degenerate" if lab is None else "ok",
         n_cut=config.system.n_cut,
-        residual=sol.info.residual,
-        min_eig=min(sol.info.min_eig),
+        residual=info.residual,
+        min_eig=min(info.min_eig),
         report=report,
         torotropy=tq_result,
         ergotropy=ergo,
-        polaron_state=sol.polaron,
+        polaron_state=polaron,
         lab_state=lab,
     )
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qdmr.model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk
-from qdmr.redfield import _row_blocks, solve
+from qdmr.redfield import _row_blocks, build_tensors
 from qdmr.sweep import evaluate_point
 
 
@@ -48,10 +48,10 @@ def make_config(
 
 
 def solve_point(config: ModelConfig):
-    """One solve, for tests of a single layer: (tensors_l, tensors_r, polaron, lab, info);
+    """One solve, for tests of a single layer: (tensors_l, tensors_r, polaron, lab);
     lab is None at lam = 0.  Tests of the program's outputs use ``evaluate_point``."""
-    sol = solve(config)
-    return (*sol.tensors, sol.polaron, sol.lab, sol.info)
+    point = evaluate_point(config, ())
+    return (*build_tensors(config), point.polaron_state, point.lab_state)
 
 
 def generator_matrix(liou) -> np.ndarray:

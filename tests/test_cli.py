@@ -245,7 +245,7 @@ class TestUnwritableOutput:
             self.computed.append(args)
             raise AssertionError("computed before the output was checked")
 
-        monkeypatch.setattr("qdmr.redfield.solve", refuse)
+        monkeypatch.setattr("qdmr.redfield.build_tensors", refuse)
         monkeypatch.setattr("qdmr.leads.bath_correlation", refuse)
 
     def _assert_refused(self, command, sweep_ini, out, errno_code, capsys):

@@ -25,7 +25,7 @@ from oracles import rate_equation_current
 class TestParticleCurrent:
     def test_zero_coupling_matches_rate_equation(self):
         config = make_config(lam=0.0, mu_tilde=4.0, delta_mu=18.0, n_cut=6)
-        tensors_l, tensors_r, state, _, _ = solve_point(config)
+        tensors_l, tensors_r, state, _ = solve_point(config)
         expected = rate_equation_current(
             config.system.mu_tilde, config.lead_L, config.lead_R
         )
@@ -38,7 +38,7 @@ class TestParticleCurrent:
 
     def test_currents_balance_at_finite_coupling(self):
         config = make_config(mu_tilde=-5.0, delta_mu=30.0, lam=0.7, n_cut=20)
-        tensors_l, tensors_r, state, _, _ = solve_point(config)
+        tensors_l, tensors_r, state, _ = solve_point(config)
         i_l = particle_current(tensors_l, state)
         i_r = particle_current(tensors_r, state)
         assert i_l + i_r == pytest.approx(0.0, abs=1e-12 * max(abs(i_r), 1.0))
@@ -46,7 +46,7 @@ class TestParticleCurrent:
 
     def test_no_current_without_bias_or_temperature_difference(self):
         config = make_config(mu_tilde=2.0, lam=0.7, n_cut=16)
-        tensors_l, tensors_r, state, _, _ = solve_point(config)
+        tensors_l, tensors_r, state, _ = solve_point(config)
         assert abs(particle_current(tensors_r, state)) < 1e-13
 
 
@@ -62,7 +62,7 @@ class TestHeatAndPower:
 
     def test_mechanical_heat_vanishes_identically_at_zero_coupling(self):
         config = make_config(lam=0.0, mu_tilde=1.0, delta_mu=22.0, n_cut=6)
-        tensors_l, tensors_r, state, _, _ = solve_point(config)
+        tensors_l, tensors_r, state, _ = solve_point(config)
         i_l = particle_current(tensors_l, state)
         i_r = particle_current(tensors_r, state)
         assert mechanical_heat(config, tensors_l, state, i_l) == 0.0
@@ -76,7 +76,7 @@ class TestHeatAndPower:
 
     def test_first_law_closes_at_strong_coupling(self):
         config = make_config(mu_tilde=-10.0, delta_mu=50.0, lam=0.7, n_cut=30)
-        tensors_l, tensors_r, state, _, _ = solve_point(config)
+        tensors_l, tensors_r, state, _ = solve_point(config)
         i_l = particle_current(tensors_l, state)
         i_r = particle_current(tensors_r, state)
         balance = (
@@ -93,7 +93,7 @@ class TestHeatAndPower:
 class TestPhononNumber:
     def test_requires_lab_frame(self):
         config = make_config(lam=0.7, n_cut=12)
-        _, _, state, lab, _ = solve_point(config)
+        _, _, state, lab = solve_point(config)
         with pytest.raises(FrameError):
             phonon_number(state)
         assert phonon_number(lab) >= 0.0
@@ -150,7 +150,7 @@ class TestBuildReport:
         config = make_config(
             mu_tilde=-5.0, delta_mu=60.0, lam=0.7, t_right_mk=60.0, n_cut=30
         )
-        tensors_l, tensors_r, state, lab, _ = solve_point(config)
+        tensors_l, tensors_r, state, lab = solve_point(config)
         report = build_report(config, state, lab, tensors_l, tensors_r)
         assert report.current_l == pytest.approx(-report.current_r, abs=1e-12)
         assert report.heat_total_l == report.heat_el_l + report.heat_mec_l
@@ -171,7 +171,7 @@ class TestBuildReport:
 
     def test_report_with_torotropy_fills_converter_metric(self):
         config = make_config(mu_tilde=-5.0, delta_mu=60.0, lam=0.7, n_cut=20)
-        tensors_l, tensors_r, state, lab, _ = solve_point(config)
+        tensors_l, tensors_r, state, lab = solve_point(config)
         report = build_report(
             config, state, lab, tensors_l, tensors_r, torotropy_value=0.4
         )
@@ -181,7 +181,7 @@ class TestBuildReport:
 
     def test_report_without_lab_state_uses_nan(self):
         config = make_config(lam=0.0, mu_tilde=2.0, delta_mu=16.0, n_cut=6)
-        tensors_l, tensors_r, state, _, _ = solve_point(config)
+        tensors_l, tensors_r, state, _ = solve_point(config)
         report = build_report(config, state, None, tensors_l, tensors_r)
         assert np.isnan(report.phonon_number)
         assert np.isnan(report.zeta)

@@ -56,13 +56,13 @@ def coherent_matrix(beta: complex, n_cut: int) -> np.ndarray:
 
 class TestReduceResonator:
     def test_requires_lab_frame(self):
-        _, _, state, _, _ = solve_point(make_config(lam=0.7, n_cut=12))
+        _, _, state, _ = solve_point(make_config(lam=0.7, n_cut=12))
         with pytest.raises(FrameError):
             reduce_resonator(state)
 
     def test_reduction_of_solved_state(self):
         # the lab-frame trace misses unity only by the truncation tail
-        _, _, _, lab, _ = solve_point(make_config(lam=0.7, delta_mu=30.0, n_cut=20))
+        _, _, _, lab = solve_point(make_config(lam=0.7, delta_mu=30.0, n_cut=20))
         rho, min_eig = reduce_resonator(lab)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-4)
         np.testing.assert_allclose(rho, rho.conj().T, atol=0)
@@ -123,7 +123,7 @@ class TestHusimi:
     def test_blas_form_matches_the_einsum_contraction(self, shape):
         # the two contractions sum in different orders; each is within the
         # 2n-term rounding bound n*eps of the absolute-value form
-        _, _, _, lab, _ = solve_point(make_config(lam=1.4, delta_mu=-50.0, n_cut=20))
+        _, _, _, lab = solve_point(make_config(lam=1.4, delta_mu=-50.0, n_cut=20))
         rho, _ = reduce_resonator(lab)
         rng = np.random.default_rng(7)
         alpha = rng.uniform(-4.0, 4.0, shape) + 1j * rng.uniform(-4.0, 4.0, shape)
@@ -263,7 +263,7 @@ class TestTorotropy:
 
     def test_anchor_and_barycenter_are_reported(self):
         config = make_config(mu_tilde=-5.0, delta_mu=60.0, lam=0.7, n_cut=30)
-        _, _, _, lab, _ = solve_point(config)
+        _, _, _, lab = solve_point(config)
         res = torotropy(lab, config.system.lam)
         assert res.anchor == pytest.approx(
             -config.system.lam * lab.occupation, rel=1e-12

@@ -8,8 +8,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdmr.observables import build_report
-from qdmr.redfield import MIN_EIG_FLOOR, assemble_liouvillian, build_tensors, solve, steady_state
+from qdmr.redfield import MIN_EIG_FLOOR, assemble_liouvillian, build_tensors, steady_state
+from qdmr.sweep import evaluate_point
 from qdmr.validation import reference_config, two_state_current
 
 from conftest import generator_matrix
@@ -38,16 +38,16 @@ def test_solve_and_report_invariants(mu_tilde, delta_mu, delta_t_mk, lam, n_cut)
     config = reference_config(
         mu_tilde=mu_tilde, delta_mu=delta_mu, delta_t_mk=delta_t_mk, lam=lam, n_cut=n_cut
     )
-    sol = solve(config)
-    assert (sol.lab is None) == (lam == 0.0) == (sol.info.method == "decoupled")
-    assert abs(sol.polaron.trace - 1.0) <= 1e-12
-    for state in (sol.polaron, sol.lab):
+    point = evaluate_point(config, ())
+    assert (point.lab_state is None) == (lam == 0.0) == (point.status == "degenerate")
+    assert abs(point.polaron_state.trace - 1.0) <= 1e-12
+    for state in (point.polaron_state, point.lab_state):
         if state is not None:
             for block in (state.rho0, state.rho1):
                 np.testing.assert_allclose(block, block.conj().T, rtol=0, atol=1e-14)
-    assert min(sol.info.min_eig) >= MIN_EIG_FLOOR
+    assert point.min_eig >= MIN_EIG_FLOOR
 
-    r = build_report(config, sol.polaron, sol.lab, *sol.tensors)
+    r = point.report
     assert _scaled(r.current_l + r.current_r, r.current_l, r.current_r) <= REL_TOL
     energies = (r.heat_el_l, r.heat_el_r, r.heat_mec_l, r.heat_mec_r, r.power)
     assert _scaled(r.first_law_residual, *energies) <= REL_TOL
@@ -71,7 +71,7 @@ def test_rows_and_solve_match_the_dense_oracle(mu_tilde, delta_mu, delta_t_mk, l
     config = reference_config(
         mu_tilde=mu_tilde, delta_mu=delta_mu, delta_t_mk=delta_t_mk, lam=lam, n_cut=n_cut
     )
-    tensors = tuple(build_tensors(config, lead) for lead in config.leads)
+    tensors = build_tensors(config)
     liou = assemble_liouvillian(config, tensors)
     dense = liouvillian_dense(config, tensors)
     assert generator_matrix(liou).tobytes() == dense.tobytes()

@@ -13,10 +13,11 @@ from qdmr.redfield import (
     _row_blocks,
     assemble_liouvillian,
     build_tensors,
-    solve,
     steady_state,
     to_lab_frame,
 )
+
+from qdmr.sweep import evaluate_point
 
 from conftest import generator_matrix, make_config
 from oracles import (
@@ -61,8 +62,8 @@ def _dense_ref(config, lead, tensors):
 
 def _dense_from_factors(t):
     """The four rank-4 tensors (index order [j, m, k, l]) built from one lead's factors."""
-    eye = np.eye(t.n_cut)
     d = t.displacement
+    eye = np.eye(len(d))
     return {
         "r00": 0.5 * (np.einsum("kj,ml->jmkl", t.w_in, eye) + np.einsum("lm,kj->jmkl", t.w_in, eye)),
         "r01": 0.5 * (np.einsum("jk,ml->jmkl", t.v_in, d) + np.einsum("jk,ml->jmkl", d, t.v_in)),
@@ -76,7 +77,7 @@ class TestTensors:
     def test_dense_blocks_match_literal_loops(self, side):
         config = make_config(**ASYM)
         lead = getattr(config, side)
-        tensors = build_tensors(config, lead)
+        tensors = build_tensors(config)[("lead_L", "lead_R").index(side)]
         ref = _dense_ref(config, lead, tensors)
         dense = _dense_from_factors(tensors)
         for name in ("r00", "r01", "r11", "r10"):
@@ -84,7 +85,7 @@ class TestTensors:
 
     def test_current_matrices_are_diagonal_tensor_sums(self):
         config = make_config(**ASYM)
-        tensors = build_tensors(config, config.lead_L)
+        tensors, _ = build_tensors(config)
         dense = _dense_ref(config, config.lead_L, tensors)
         m_in, m_out = tensors.current_matrices()
         np.testing.assert_allclose(
@@ -96,7 +97,7 @@ class TestTensors:
 
     def test_fock_weighted_matrices_match_dense_sums(self):
         config = make_config(**ASYM)
-        tensors = build_tensors(config, config.lead_R)
+        _, tensors = build_tensors(config)
         dense = _dense_ref(config, config.lead_R, tensors)
         j = np.arange(config.system.n_cut, dtype=float)
         q_in, q_out = tensors.fock_weighted_matrices()
@@ -113,8 +114,8 @@ class TestTensors:
 
     def test_fock_weighted_matrices_vanish_without_coupling(self):
         config = make_config(lam=0.0, n_cut=8)
-        for lead in config.leads:
-            q_in, q_out = build_tensors(config, lead).fock_weighted_matrices()
+        for tensors in build_tensors(config):
+            q_in, q_out = tensors.fock_weighted_matrices()
             assert np.abs(q_in).max() == 0.0
             assert np.abs(q_out).max() == 0.0
 
@@ -122,7 +123,7 @@ class TestTensors:
 class TestLiouvillian:
     def test_matrix_matches_column_by_column_reference(self):
         config = make_config(**ASYM)
-        tensors = tuple(build_tensors(config, lead) for lead in config.leads)
+        tensors = build_tensors(config)
         liou = assemble_liouvillian(config, tensors)
         dense = [
             tensors_dense_ref(
@@ -135,7 +136,7 @@ class TestLiouvillian:
 
     def test_apply_matches_elementwise_reference(self):
         config = make_config(**ASYM)
-        tensors = tuple(build_tensors(config, lead) for lead in config.leads)
+        tensors = build_tensors(config)
         liou = assemble_liouvillian(config, tensors)
         dense = [
             tensors_dense_ref(
@@ -155,7 +156,7 @@ class TestLiouvillian:
         # where one lead-summed N^2 x N^2 gain block alone takes 8 N^4
         config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
         liou = assemble_liouvillian(
-            config, tuple(build_tensors(config, lead) for lead in config.leads)
+            config, build_tensors(config)
         )
         assert sum(a.nbytes for a in _held_arrays(liou)) <= 200 * n_cut**3
 
@@ -163,7 +164,7 @@ class TestLiouvillian:
     def test_each_run_is_the_n_rows_of_one_block_and_fock_index(self, n_cut):
         config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
         liou = assemble_liouvillian(
-            config, tuple(build_tensors(config, lead) for lead in config.leads)
+            config, build_tensors(config)
         )
         n = n_cut
         runs = list(_row_blocks(liou))
@@ -177,14 +178,14 @@ class TestLiouvillian:
         # where the scaling of each lead's sum by 0.5 rounds: the rows
         # match only if they halve that sum, as the Kronecker assembly does
         config = make_config(lam=1e-10, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
-        tensors = tuple(build_tensors(config, lead) for lead in config.leads)
+        tensors = build_tensors(config)
         liou = assemble_liouvillian(config, tensors)
         assert generator_matrix(liou).tobytes() == liouvillian_dense(config, tensors).tobytes()
 
     def test_generator_preserves_trace(self):
         config = make_config(**ASYM)
         liou = assemble_liouvillian(
-            config, tuple(build_tensors(config, lead) for lead in config.leads)
+            config, build_tensors(config)
         )
         residual = np.abs(liou.trace_vector @ generator_matrix(liou)).max()
         assert residual < 1e-12
@@ -192,7 +193,7 @@ class TestLiouvillian:
     def test_generator_preserves_hermiticity(self):
         config = make_config(**ASYM)
         liou = assemble_liouvillian(
-            config, tuple(build_tensors(config, lead) for lead in config.leads)
+            config, build_tensors(config)
         )
         rho0, rho1 = _random_hermitian_pair(config.system.n_cut, seed=23)
         d0, d1 = _apply(liou, rho0, rho1)
@@ -203,7 +204,7 @@ class TestLiouvillian:
 class TestSteadyState:
     def test_matches_long_time_propagation(self):
         config = make_config(**ASYM)
-        tensors = tuple(build_tensors(config, lead) for lead in config.leads)
+        tensors = build_tensors(config)
         liou = assemble_liouvillian(config, tensors)
         state, info = steady_state(liou)
         dense = [
@@ -225,7 +226,7 @@ class TestSteadyState:
         # bordering another population row with the trace gives the same state
         config = make_config(**ASYM)
         liou = assemble_liouvillian(
-            config, tuple(build_tensors(config, lead) for lead in config.leads)
+            config, build_tensors(config)
         )
         base, info = steady_state(liou)
         t = liou.trace_vector
@@ -241,7 +242,7 @@ class TestSteadyState:
     def test_blocks_are_physical(self):
         config = make_config(**ASYM)
         liou = assemble_liouvillian(
-            config, tuple(build_tensors(config, lead) for lead in config.leads)
+            config, build_tensors(config)
         )
         state, info = steady_state(liou)
         np.testing.assert_allclose(state.rho0, state.rho0.conj().T, atol=0)
@@ -251,11 +252,11 @@ class TestSteadyState:
     def test_zero_coupling_occupation_with_degenerate_accepted(self):
         config = make_config(lam=0.0, n_cut=6, delta_mu=10.0)
         liou = assemble_liouvillian(
-            config, tuple(build_tensors(config, lead) for lead in config.leads)
+            config, build_tensors(config)
         )
         state, info = steady_state(liou)
         assert info.method == "decoupled"
-        assert solve(config).lab is None
+        assert evaluate_point(config, ()).lab_state is None
         flat = np.eye(config.system.n_cut) / config.system.n_cut
         np.testing.assert_allclose(state.rho1, state.occupation * flat, atol=1e-15)
         np.testing.assert_allclose(state.rho0, (1.0 - state.occupation) * flat, atol=1e-15)
@@ -279,7 +280,7 @@ class TestSteadyState:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            solve(config)
+            evaluate_point(config, ())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -294,7 +295,7 @@ class TestSteadyState:
     def test_solve_holds_one_generator_copy_beyond_the_matrix(self, n_cut):
         config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
         liou = assemble_liouvillian(
-            config, tuple(build_tensors(config, lead) for lead in config.leads)
+            config, build_tensors(config)
         )
         tracemalloc.start()
         try:
@@ -319,7 +320,7 @@ class TestSteadyState:
         # after a solve that returns or raises
         config = make_config(lam=lam, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
         liou = assemble_liouvillian(
-            config, tuple(build_tensors(config, lead) for lead in config.leads)
+            config, build_tensors(config)
         )
         arrays = _held_arrays(liou)
         before = [a.tobytes() for a in arrays]
@@ -338,7 +339,7 @@ class TestSteadyState:
 class TestFramesAndSerialization:
     def test_lab_frame_transform_and_guard(self):
         config = make_config(**ASYM)
-        tensors = tuple(build_tensors(config, lead) for lead in config.leads)
+        tensors = build_tensors(config)
         liou = assemble_liouvillian(config, tensors)
         state, _ = steady_state(liou)
         d = tensors[0].displacement
@@ -355,7 +356,7 @@ class TestFramesAndSerialization:
         deficits = []
         for n in (20, 30):
             config = make_config(mu_tilde=3.0, delta_mu=14.0, lam=0.9, n_cut=n)
-            tensors = tuple(build_tensors(config, lead) for lead in config.leads)
+            tensors = build_tensors(config)
             state, _ = steady_state(assemble_liouvillian(config, tensors))
             lab = to_lab_frame(state, tensors[0].displacement)
             deficits.append(abs(lab.trace - 1.0))
