@@ -21,6 +21,14 @@ matrix.  The block actions are
     gain into rho0: (V_out rho1 D + D^T rho1 V_out^T) / 2
 
 plus the coherent part -i*omega*(j - m) on each block's element (j, m).
+
+There are two stationary solves.  ``steady_state`` factorises the
+generator's rows by a bordered LU, O(N^6) time; every reported state
+comes from it.  ``krylov_steady_state`` applies the block actions above
+directly, with the factors summed over the leads: 12 N x N matrix
+products, O(N^3) time and O(N^2) memory.  It solves by preconditioned
+GMRES, and the adaptive cutoff ladder of ``sweep.run_point`` decides its
+rungs on it.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ from .phonon import displacement_matrix
 
 MIN_EIG_FLOOR = -1e-8  # smallest block eigenvalue a stationary state may have
 RESIDUAL_RTOL = 1e-8  # largest max|L x| of a stationary state x, relative to the infinity norm of L
+GMRES_RTOL = 1e-12  # relative residual at which each GMRES pass of ``krylov_steady_state`` stops
+GMRES_MAX_ITER = 100  # iterations after which it gives up; a pass took 1 to 17 at the points measured, N = 20 to 80
 
 
 class SteadyStateError(RuntimeError):
@@ -297,7 +307,7 @@ def _apply(liou: Liouvillian, x: np.ndarray, border: int | None = None) -> np.nd
 class SteadyStateInfo:
     residual: float
     norm_row: int
-    method: str  # "lu", or "decoupled" for the closed-form lam = 0 state
+    method: str  # "lu", "gmres" (``krylov_steady_state``), or "decoupled" for the closed-form lam = 0 state
     min_eig: tuple[float, float]
 
 
@@ -390,6 +400,172 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
         method=method,
         min_eig=min_eig,
     )
+    return BlockDensityMatrix(rho0=rho0, rho1=rho1, frame="polaron"), info
+
+
+class _SummedFactors(NamedTuple):
+    """The generator's factors summed over the leads, the shared D and the
+    coherent part: all that its matrix-free action needs."""
+
+    w_in: np.ndarray
+    w_out: np.ndarray
+    v_in: np.ndarray
+    v_out: np.ndarray
+    d: np.ndarray
+    coherent: np.ndarray  # -i omega (j - m) at [j, m]
+
+
+def _summed_factors(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) -> _SummedFactors:
+    jm = np.arange(config.system.n_cut)
+    return _SummedFactors(
+        *(sum(getattr(t, name) for t in tensors) for name in ("w_in", "w_out", "v_in", "v_out")),
+        d=tensors[0].displacement,
+        coherent=-1j * config.system.omega * (jm[:, None] - jm[None, :]),
+    )
+
+
+def _act(f: _SummedFactors, x: np.ndarray) -> np.ndarray:
+    """Generator times the stacked vector ``x``: 12 N x N matrix products."""
+    n = f.d.shape[0]
+    r0 = x[: n * n].reshape(n, n)
+    r1 = x[n * n :].reshape(n, n)
+    y0 = f.coherent * r0 - 0.5 * (f.w_in.T @ r0 + r0 @ f.w_in) + 0.5 * (f.v_out @ r1 @ f.d + f.d.T @ r1 @ f.v_out.T)
+    y1 = f.coherent * r1 - 0.5 * (f.w_out.T @ r1 + r1 @ f.w_out) + 0.5 * (f.v_in @ r0 @ f.d.T + f.d @ r0 @ f.v_in.T)
+    return np.concatenate([y0.reshape(-1), y1.reshape(-1)])
+
+
+def _gain_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row sums of |(kron(a, b) + kron(b, a)) / 2| on the rows (j, j), the
+    populations of the block that this gain feeds."""
+    outer = a[:, :, None] * b[:, None, :]
+    return 0.5 * np.abs(outer + outer.transpose(0, 2, 1)).sum(axis=(1, 2))
+
+
+def _gmres(matvec, precondition, rhs: np.ndarray) -> np.ndarray:
+    """x with |rhs - matvec(x)| <= GMRES_RTOL |rhs|: unrestarted GMRES, right
+    preconditioned by ``precondition``.  Raises ``SteadyStateError`` at
+    GMRES_MAX_ITER iterations or on an Arnoldi vector that is not finite."""
+    beta = float(np.linalg.norm(rhs))
+    if beta == 0.0:
+        return np.zeros_like(rhs)
+    basis = np.empty((GMRES_MAX_ITER + 1, rhs.size), dtype=complex)
+    hess = np.zeros((GMRES_MAX_ITER + 1, GMRES_MAX_ITER), dtype=complex)
+    e1 = np.zeros(GMRES_MAX_ITER + 1)
+    e1[0] = beta
+    basis[0] = rhs / beta
+    for k in range(1, GMRES_MAX_ITER + 1):
+        w = matvec(precondition(basis[k - 1]))
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            c = (basis[:k] @ w.conj()).conj()
+            w -= c @ basis[:k]
+            hess[:k, k - 1] += c
+        hess[k, k - 1] = np.linalg.norm(w)
+        if not np.isfinite(hess[k, k - 1]):
+            break
+        h, b = hess[: k + 1, :k], e1[: k + 1]
+        y = np.linalg.lstsq(h, b, rcond=None)[0]
+        if np.linalg.norm(h @ y - b) <= GMRES_RTOL * beta:
+            return precondition(y @ basis[:k])
+        basis[k] = w / hess[k, k - 1]
+    raise SteadyStateError(f"GMRES did not reach relative residual {GMRES_RTOL:.0e} in {k} iterations")
+
+
+def krylov_steady_state(
+    config: ModelConfig, tensors: tuple[RedfieldTensors, ...]
+) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
+    """Trace-one kernel vector of the generator, without its rows.
+
+    The generator acts through its factors (``_act``: O(N^3) time, O(N^2)
+    memory).  As in ``steady_state``, the least diagonally dominant
+    population row is replaced with the trace functional; the row sums it
+    needs come from the factors.  The bordered system is solved by GMRES
+    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)) to a
+    relative residual of GMRES_RTOL, then once more on the residual left.
+    The preconditioner is exact on the 2N populations, whose generator
+    block is the Pauli rate matrix of sequential tunnelling (Koch & von
+    Oppen, PRL 94, 206804 (2005)), bordered in the same row and
+    LU-factorised once, and the diagonal (Jacobi) on every coherence.
+    Then, as in ``steady_state``: the Hermitian part, trace one and the
+    ``MIN_EIG_FLOOR`` gate.  The residual gate is RESIDUAL_RTOL times the
+    largest row sum of the coherent and loss terms, which are known
+    without building rows: a lower bound on the infinity norm of the
+    generator, so the gate is never looser than that of ``steady_state``.
+    A decoupled generator (lam == 0) has no unique kernel vector and is
+    refused.
+
+    Where the generator is nearly degenerate (0 < lam <~ 1e-5), the state
+    is ill-determined: this solve and the LU agree only to about
+    1e-16 / lam^2 there.
+    """
+    if config.system.lam == 0.0:
+        raise ValueError("a decoupled generator (lam = 0) has no unique stationary state; use steady_state")
+    f = _summed_factors(config, tensors)
+    n = config.system.n_cut
+    nn = n * n
+    pop = np.concatenate([np.arange(n) * (n + 1), nn + np.arange(n) * (n + 1)])  # rho0's, then rho1's
+
+    diag = []  # each block's generator diagonal
+    loss_sums = []  # each block's row sums of |coherent + loss|, [j, m] for row (j, m)
+    for w in (f.w_in, f.w_out):
+        w_d = np.diagonal(w)
+        off = 0.5 * (np.abs(w).sum(axis=0) - np.abs(w_d))  # along one index of a row, off the diagonal
+        block = f.coherent - 0.5 * (w_d[:, None] + w_d[None, :])
+        diag.append(block.reshape(-1))
+        loss_sums.append(off[:, None] + off[None, :] + np.abs(block))
+    diag = np.concatenate(diag)
+    gain_sums = [_gain_row_sums(f.v_out, f.d.T), _gain_row_sums(f.v_in, f.d)]
+    pop_sums = np.concatenate([np.diagonal(loss) + gain for loss, gain in zip(loss_sums, gain_sums)])
+    border = int(np.argmin(2.0 * np.abs(diag[pop]) - pop_sums))
+    row = int(pop[border])
+
+    pauli = np.block([
+        [np.diag(-np.diagonal(f.w_in)), f.v_out * f.d.T],
+        [f.v_in * f.d, np.diag(-np.diagonal(f.w_out))],
+    ])
+    pauli[border] = 1.0  # the trace over all populations
+    jacobi = diag.copy()
+    jacobi[pop] = 1.0  # overwritten by the population block
+
+    def bordered(x: np.ndarray) -> np.ndarray:
+        y = _act(f, x)
+        y[row] = x[pop].sum()
+        return y
+
+    def precondition(v: np.ndarray) -> np.ndarray:
+        u = v / jacobi
+        u[pop] = scipy.linalg.lu_solve(lu, v[pop], check_finite=False)
+        return u
+
+    rhs = np.zeros(2 * nn, dtype=complex)
+    rhs[row] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a singular pivot fails the gates below
+        lu = scipy.linalg.lu_factor(pauli, check_finite=False)
+        x = _gmres(bordered, precondition, rhs)
+        x = x + _gmres(bordered, precondition, rhs - bordered(x))
+
+    rho0 = x[:nn].reshape(n, n)
+    rho1 = x[nn:].reshape(n, n)
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    rho1 = 0.5 * (rho1 + rho1.conj().T)
+    tr = float(np.trace(rho0).real + np.trace(rho1).real)
+    rho0 = rho0 / tr
+    rho1 = rho1 / tr
+
+    residual = float(np.abs(_act(f, np.concatenate([rho0.reshape(-1), rho1.reshape(-1)]))).max())
+    gate = RESIDUAL_RTOL * max(float(loss.max()) for loss in loss_sums)
+    if not residual <= gate:
+        raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {gate:.3e}")
+    min_eig = (
+        float(np.linalg.eigvalsh(rho0)[0]),
+        float(np.linalg.eigvalsh(rho1)[0]),
+    )
+    if not min(min_eig) >= MIN_EIG_FLOOR:
+        raise SteadyStateError(
+            f"stationary state is not positive: smallest block eigenvalue "
+            f"{min(min_eig):.3e} is below {MIN_EIG_FLOOR:.0e}"
+        )
+    info = SteadyStateInfo(residual=residual, norm_row=row, method="gmres", min_eig=min_eig)
     return BlockDensityMatrix(rho0=rho0, rho1=rho1, frame="polaron"), info
 
 

@@ -145,32 +145,62 @@ def run_point(
     With ``n_cut_policy='adaptive'`` the truncation is raised from 20 in
     steps of 10 until the top-decile Fock population falls below 1e-6
     and the torotropy (when requested) moves by less than 1% between
-    consecutive sizes, capping at 80.
+    consecutive sizes, capping at 80.  Each rung is decided on the
+    matrix-free ``redfield.krylov_steady_state`` and its lab frame and
+    torotropy.  ``evaluate_point``, the reported solve, runs only where
+    that decision stops the climb: on a rung it accepts, where the rule is
+    checked again on its state and the climb goes on if it fails, and at
+    the cap, whose result has status ``n_cut_cap`` unless it meets the rule.
+    A rung whose probe fails its gates (``SteadyStateError``), as it can
+    where the generator is nearly degenerate and the two solves disagree
+    on positivity, is decided by ``evaluate_point`` alone.
     """
     n = config.system.n_cut  # the cutoff being solved, for an error row
     try:
         if n_cut_policy == "fixed" or config.system.lam == 0.0:
             return evaluate_point(config, outputs)
-        result = None
+        prev = None  # the torotropy of the rung below
         n = ADAPTIVE_START
         while True:
             cfg = replace(config, system=replace(config.system, n_cut=n))
-            prev = result
-            result = evaluate_point(cfg, outputs)
-            tail_ok = result.lab_state is not None and result.lab_state.fock_tail < ADAPTIVE_TAIL_TOL
-            drift_ok = True
-            if "phasespace" in outputs:  # the torotropy must also settle, so at least two sizes
-                drift_ok = prev is not None
-                if drift_ok and prev.torotropy and result.torotropy:
-                    a, b = prev.torotropy.value, result.torotropy.value
-                    drift_ok = abs(a - b) <= ADAPTIVE_DRIFT_TOL * max(abs(a), abs(b)) or max(abs(a), abs(b)) < 1e-9
-            if tail_ok and drift_ok:
-                return result
-            if n >= ADAPTIVE_CAP:
-                return replace(result, status="n_cut_cap")
+            tensors = redfield.build_tensors(cfg)
+            try:
+                probe, _ = redfield.krylov_steady_state(cfg, tensors)
+            except redfield.SteadyStateError:  # the LU decides this rung, or names its failure
+                probe = None
+            if probe is not None:
+                lab = redfield.to_lab_frame(probe, tensors[0].displacement)
+                tq = phasespace.torotropy(lab, config.system.lam) if "phasespace" in outputs else None
+            if probe is None or _settled(lab, tq, prev) or n >= ADAPTIVE_CAP:
+                result = evaluate_point(cfg, outputs)
+                tq = result.torotropy
+                if _settled(result.lab_state, tq, prev):
+                    return result
+                if n >= ADAPTIVE_CAP:
+                    return replace(result, status="n_cut_cap")
+            prev = tq
             n += ADAPTIVE_STEP
     except Exception as exc:  # recorded per point, never fatal to a sweep
         return _failed(n, exc)
+
+
+def _settled(
+    lab: redfield.BlockDensityMatrix,
+    tq: phasespace.TorotropyResult | None,
+    prev: phasespace.TorotropyResult | None,
+) -> bool:
+    """The ladder's stop rule on one rung's lab-frame state and torotropy
+    ``tq`` (None when not requested), with ``prev`` the rung below's: the
+    Fock tail is below ADAPTIVE_TAIL_TOL and a requested torotropy has
+    settled, so then at least two rungs are solved."""
+    if not lab.fock_tail < ADAPTIVE_TAIL_TOL:
+        return False
+    if tq is None:
+        return True
+    if prev is None:
+        return False
+    a, b = prev.value, tq.value
+    return abs(a - b) <= ADAPTIVE_DRIFT_TOL * max(abs(a), abs(b)) or max(abs(a), abs(b)) < 1e-9
 
 
 def _failed(n_cut: int, exc: Exception) -> PointResult:

@@ -3,16 +3,21 @@
 Everything here is written from the defining formulas with plain loops,
 quadrature, or matrix exponentials, deliberately avoiding the package's
 own factored algebra and vectorized code paths.  Slow and small-N only.
+The one exception, ``adaptive_ladder_lu``, is a former policy of the
+package: its adaptive cutoff ladder solved by the dense LU on every rung.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm, lu_factor, lu_solve
 from scipy.special import digamma, exp1, gammaln
+
+from qdmr import sweep
 
 
 # --- ladder operators and displacement ---------------------------------
@@ -381,6 +386,41 @@ def steady_state_bordered_lu(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     rho1 = rho1 / tr
     residual = float(np.abs(mat @ np.concatenate([rho0.reshape(-1), rho1.reshape(-1)])).max())
     return rho0, rho1, row, residual
+
+
+# --- the adaptive cutoff ladder, the dense LU on every rung ------------------
+
+
+def adaptive_ladder_lu(config, outputs):
+    """``sweep.run_point(config, outputs, n_cut_policy="adaptive")`` as it was
+    when every rung ran ``evaluate_point`` and the stop rule read its state.
+    The ADAPTIVE_* constants are read from ``qdmr.sweep`` at call time, so a
+    test can shorten the ladder."""
+    n = config.system.n_cut
+    try:
+        if config.system.lam == 0.0:
+            return sweep.evaluate_point(config, outputs)
+        result = None
+        n = sweep.ADAPTIVE_START
+        while True:
+            cfg = replace(config, system=replace(config.system, n_cut=n))
+            prev = result
+            result = sweep.evaluate_point(cfg, outputs)
+            tail_ok = result.lab_state is not None and result.lab_state.fock_tail < sweep.ADAPTIVE_TAIL_TOL
+            drift_ok = True
+            if "phasespace" in outputs:  # the torotropy must also settle, so at least two sizes
+                drift_ok = prev is not None
+                if drift_ok and prev.torotropy and result.torotropy:
+                    a, b = prev.torotropy.value, result.torotropy.value
+                    scale = max(abs(a), abs(b))
+                    drift_ok = abs(a - b) <= sweep.ADAPTIVE_DRIFT_TOL * scale or scale < 1e-9
+            if tail_ok and drift_ok:
+                return result
+            if n >= sweep.ADAPTIVE_CAP:
+                return replace(result, status="n_cut_cap")
+            n += sweep.ADAPTIVE_STEP
+    except Exception as exc:
+        return sweep._failed(n, exc)
 
 
 # --- phase space ----------------------------------------------------------

@@ -45,12 +45,14 @@ def test_results_carry_the_fields_the_tracer_reads(tracing):
 
 
 SOLVER_LAYERS = ("displacement_matrix", "build_tensors", "assemble_liouvillian", "steady_state", "to_lab_frame")
+PROBE = "krylov_steady_state"
 
 
 @pytest.fixture
 def layer_calls(monkeypatch):
-    """Counts of the calls to each solver layer, made at the ``qdmr.redfield``
-    attribute the tracer wraps, and every pair of tensors ``build_tensors`` returned."""
+    """Counts of the calls to each solver layer and to the ladder's probe solve,
+    made at the ``qdmr.redfield`` attribute the tracer wraps, and every pair of
+    tensors ``build_tensors`` returned."""
     calls = Counter()
     built = []
 
@@ -64,7 +66,7 @@ def layer_calls(monkeypatch):
 
         return wrapper
 
-    for name in SOLVER_LAYERS:
+    for name in (*SOLVER_LAYERS, PROBE):
         monkeypatch.setattr(redfield, name, counted(name, getattr(redfield, name)))
     return calls, built
 
@@ -80,11 +82,18 @@ def test_a_point_calls_each_solver_layer_once(layer_calls, lam):
 
 
 def test_an_adaptive_point_calls_each_solver_layer_once_per_rung(layer_calls):
+    # every rung is decided on the probe; the dense generator and its LU run
+    # once, on the rung the probe accepts, which builds its tensors again
     calls, built = layer_calls
     config = make_config(mu_tilde=-5.0, delta_mu=60.0, lam=0.7, n_cut=10)
     result = run_point(config, n_cut_policy="adaptive")
     rungs = (result.n_cut - sweep.ADAPTIVE_START) // sweep.ADAPTIVE_STEP + 1
     assert result.status == "ok"
     assert rungs >= 2
-    assert calls == dict.fromkeys(SOLVER_LAYERS, rungs)
+    assert calls == {
+        **dict.fromkeys(("displacement_matrix", "build_tensors", "to_lab_frame"), rungs + 1),
+        "assemble_liouvillian": 1,
+        "steady_state": 1,
+        PROBE: rungs,
+    }
     assert all(tensors_l.displacement is tensors_r.displacement for tensors_l, tensors_r in built)

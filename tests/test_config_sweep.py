@@ -28,6 +28,7 @@ from qdmr.sweep import run_point, run_sweep
 from qdmr.validation import reference_config, two_state_current
 
 from conftest import make_config
+from oracles import adaptive_ladder_lu
 
 BASE_INI = """
 [system]
@@ -323,6 +324,34 @@ class TestRunPoint:
         result = run_point(config, n_cut_policy="adaptive")
         assert result.status == "n_cut_cap"
         assert result.n_cut == 20
+
+    @pytest.mark.parametrize("outputs", [("transport", "mode"), OUTPUT_GROUPS], ids=["no-phasespace", "all"])
+    @pytest.mark.parametrize(
+        "point",
+        [
+            dict(mu_tilde=12.342068275197867, delta_mu=0.0),  # equilibrium, at the cap
+            dict(mu_tilde=12.342068275197867, delta_mu=0.0, t_left_mk=20.0, t_right_mk=20.0),  # settles
+            dict(mu_tilde=0.0, delta_mu=-50.0),  # self-oscillation
+            dict(mu_tilde=0.0, delta_mu=-50.0, lam=1.4),  # 16 torotropy rays
+            dict(mu_tilde=0.0, delta_mu=-50.0, lam=0.05),
+            dict(mu_tilde=0.0, delta_mu=-50.0, lam=1e-10),  # error row on the first rung
+            dict(mu_tilde=0.0, delta_mu=-50.0, lam=1e-6),  # ill-conditioned generator
+            dict(mu_tilde=0.0, delta_mu=-50.0, lam=5e-8),  # the probe fails at N = 15 and 20, the LU does not
+        ],
+        ids=["eq", "eq-cold", "so", "lam1.4", "lam0.05", "lam1e-10", "lam1e-6", "lam5e-8"],
+    )
+    def test_adaptive_policy_matches_the_lu_ladder(self, monkeypatch, point, outputs):
+        # the ladder decided on the matrix-free solve ends on the rung, with the
+        # status and the row cells, of the ladder that ran the LU on every rung
+        for name, value in (("ADAPTIVE_START", 10), ("ADAPTIVE_STEP", 5), ("ADAPTIVE_CAP", 20)):
+            monkeypatch.setattr(sweep, name, value)
+        config = make_config(n_cut=6, **point)
+        result = run_point(config, outputs, n_cut_policy="adaptive")
+        expected = adaptive_ladder_lu(config, outputs)
+        assert (result.n_cut, result.status) == (expected.n_cut, expected.status)
+        assert {k: repr(v) for k, v in result.row(outputs).items()} == {
+            k: repr(v) for k, v in expected.row(outputs).items()
+        }
 
     def test_solver_failure_is_recorded_not_raised(self, monkeypatch):
         def boom(config, outputs):

@@ -5,10 +5,18 @@ gives the same verdict on every run.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdmr.redfield import MIN_EIG_FLOOR, assemble_liouvillian, build_tensors, steady_state
+from qdmr.redfield import (
+    MIN_EIG_FLOOR,
+    SteadyStateError,
+    assemble_liouvillian,
+    build_tensors,
+    krylov_steady_state,
+    steady_state,
+)
 from qdmr.sweep import evaluate_point
 from qdmr.validation import reference_config, two_state_current
 
@@ -82,3 +90,58 @@ def test_rows_and_solve_match_the_dense_oracle(mu_tilde, delta_mu, delta_t_mk, l
     assert (info.norm_row, info.residual) == (row, residual)
     assert state.rho0.tobytes() == rho0.tobytes()
     assert state.rho1.tobytes() == rho1.tobytes()
+
+
+PROBE_TOL = 1e-12  # largest entry difference between the matrix-free and the LU state, N <= 12
+# the mu_tilde of the seed-1 adaptive-eq benchmark points (delta_mu = 0, lam = 0.7)
+ADAPTIVE_EQ_MU = (
+    -57.80560420424292, -34.42304671109599, -11.040489217949059,
+    12.342068275197867, 35.7246257683448, 59.107183261491734,
+)
+
+
+def _max_state_diff(a, b) -> float:
+    return float(max(np.abs(a.rho0 - b.rho0).max(), np.abs(a.rho1 - b.rho1).max()))
+
+
+def _both_solves(config):
+    tensors = build_tensors(config)
+    return krylov_steady_state(config, tensors), steady_state(assemble_liouvillian(config, tensors))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    mu_tilde=st.floats(-60.0, 60.0),
+    delta_mu=st.floats(-150.0, 150.0),
+    delta_t_mk=st.floats(0.0, 60.0),
+    lam=st.floats(0.05, 1.4),
+    n_cut=st.integers(6, 12),
+)
+@example(mu_tilde=0.0, delta_mu=-50.0, delta_t_mk=0.0, lam=1.4, n_cut=12)
+@example(mu_tilde=0.0, delta_mu=-50.0, delta_t_mk=0.0, lam=0.05, n_cut=12)
+def test_matrix_free_solve_matches_the_lu_solve(mu_tilde, delta_mu, delta_t_mk, lam, n_cut):
+    config = reference_config(
+        mu_tilde=mu_tilde, delta_mu=delta_mu, delta_t_mk=delta_t_mk, lam=lam, n_cut=n_cut
+    )
+    (state, info), (lu_state, _) = _both_solves(config)
+    assert info.method == "gmres"
+    assert _max_state_diff(state, lu_state) <= PROBE_TOL
+    assert abs(state.trace - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mu_tilde", ADAPTIVE_EQ_MU)
+def test_matrix_free_solve_matches_the_lu_solve_at_the_adaptive_benchmark_points(mu_tilde):
+    (state, _), (lu_state, _) = _both_solves(reference_config(mu_tilde=mu_tilde, delta_mu=0.0, lam=0.7, n_cut=20))
+    assert _max_state_diff(state, lu_state) <= 1e-15
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-10, 1e-9, 1e-8])
+def test_matrix_free_solve_fails_where_the_lu_solve_fails(lam):
+    # the numerically degenerate couplings of
+    # test_config_sweep.py::TestRunPoint::test_numerically_degenerate_coupling_fails_positivity_gate
+    config = reference_config(mu_tilde=0.0, delta_mu=-50.0, lam=lam, n_cut=20)
+    tensors = build_tensors(config)
+    with pytest.raises(SteadyStateError):
+        steady_state(assemble_liouvillian(config, tensors))
+    with pytest.raises(SteadyStateError):
+        krylov_steady_state(config, tensors)

@@ -10,9 +10,12 @@ import scipy.linalg
 from qdmr.redfield import (
     FrameError,
     SteadyStateError,
+    _act,
     _row_blocks,
+    _summed_factors,
     assemble_liouvillian,
     build_tensors,
+    krylov_steady_state,
     steady_state,
     to_lab_frame,
 )
@@ -199,6 +202,27 @@ class TestLiouvillian:
         d0, d1 = _apply(liou, rho0, rho1)
         np.testing.assert_allclose(d0, d0.conj().T, atol=1e-12)
         np.testing.assert_allclose(d1, d1.conj().T, atol=1e-12)
+
+
+class TestMatrixFreeAction:
+    @pytest.mark.parametrize("n_cut", [2, 3, 7, 12])
+    @pytest.mark.parametrize("lam", [1e-10, 0.05, 0.7, 1.4])
+    @pytest.mark.parametrize("mu_tilde", [0.0, -60.0, 35.0])
+    def test_matches_the_generator_rows_and_the_dense_oracle(self, n_cut, lam, mu_tilde):
+        config = make_config(mu_tilde=mu_tilde, delta_mu=-50.0, lam=lam, n_cut=n_cut)
+        tensors = build_tensors(config)
+        rng = np.random.default_rng(n_cut)
+        x = rng.standard_normal(2 * n_cut**2) + 1j * rng.standard_normal(2 * n_cut**2)
+        y = _act(_summed_factors(config, tensors), x)
+        rows = generator_matrix(assemble_liouvillian(config, tensors)) @ x
+        dense = liouvillian_dense(config, tensors) @ x
+        for ref in (rows, dense):
+            assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_solve_refuses_a_decoupled_generator(self):
+        config = make_config(lam=0.0, n_cut=6)
+        with pytest.raises(ValueError, match="decoupled"):
+            krylov_steady_state(config, build_tensors(config))
 
 
 class TestSteadyState:
