@@ -9,10 +9,8 @@ the torotropy self-oscillation measure.
 from .model import LeadParams, ModelConfig, SystemParams, angular_ghz, ghz_from_mk
 from .redfield import (
     BlockDensityMatrix,
-    Liouvillian,
     RedfieldTensors,
     SteadyStateError,
-    assemble_liouvillian,
     build_tensors,
     steady_state,
     to_lab_frame,
@@ -23,13 +21,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockDensityMatrix",
     "LeadParams",
-    "Liouvillian",
     "ModelConfig",
     "RedfieldTensors",
     "SteadyStateError",
     "SystemParams",
     "angular_ghz",
-    "assemble_liouvillian",
     "build_tensors",
     "ghz_from_mk",
     "steady_state",

@@ -22,13 +22,17 @@ matrix.  The block actions are
 
 plus the coherent part -i*omega*(j - m) on each block's element (j, m).
 
-There are two stationary solves.  ``steady_state`` factorises the
-generator's rows by a bordered LU, O(N^6) time; every reported state
-comes from it.  ``krylov_steady_state`` applies the block actions above
-directly, with the factors summed over the leads: 12 N x N matrix
-products, O(N^3) time and O(N^2) memory.  It solves by preconditioned
-GMRES, and the adaptive cutoff ladder of ``sweep.run_point`` decides its
-rungs on it.
+There are two stationary solves, with one contract: each takes
+``(config, tensors)``, borders the least diagonally dominant population
+row with the trace, and hands its raw solution to one finish (Hermitian
+part, trace one, the residual and positivity gates).  They differ only in
+how they solve the bordered system.  ``steady_state`` builds the
+generator's rows (``assemble_liouvillian``, internal to it) and factorises
+them by LU, O(N^6) time; every reported state comes from it.
+``krylov_steady_state`` applies the block actions above directly, with the
+factors summed over the leads: 12 N x N matrix products, O(N^3) time and
+O(N^2) memory.  It solves by preconditioned GMRES, and the adaptive cutoff
+ladder of ``sweep.run_point`` decides its rungs on it.
 """
 
 from __future__ import annotations
@@ -166,16 +170,13 @@ class Liouvillian:
     Fock index j.  Held instead, all O(N^3): each
     gain block's factors with their N x N^2 tiles (see ``_GainFactors``),
     the lead-summed loss on the only columns where it can be nonzero (see
-    ``_loss_lines``), and the coherent diagonal.  ``decoupled`` is set from
-    the coupling (lam == 0): the displacement is then the identity, every
-    Fock population is stationary and the kernel has dimension N.
+    ``_loss_lines``), and the coherent diagonal.
     """
 
     gain: tuple[_GainFactors, _GainFactors]  # into rho0 from rho1, into rho1 from rho0
     loss: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # _loss_lines of w_in^T, of w_out^T
     coherent: np.ndarray  # -i omega (j - m) at [j, m]
     n_cut: int
-    decoupled: bool
 
     @property
     def trace_vector(self) -> np.ndarray:
@@ -183,6 +184,12 @@ class Liouvillian:
         n = self.n_cut
         t_block = np.eye(n).reshape(-1)
         return np.concatenate([t_block, t_block]).astype(complex)
+
+
+def _coherent(config: ModelConfig) -> np.ndarray:
+    """The coherent part -i omega (j - m) of each block's element (j, m)."""
+    jm = np.arange(config.system.n_cut)
+    return -1j * config.system.omega * (jm[:, None] - jm[None, :])
 
 
 class _GainFactors(NamedTuple):
@@ -237,17 +244,13 @@ def assemble_liouvillian(
     blocks themselves would take 16 N^4.  The leads' tensors must share D,
     as those of ``build_tensors`` do.
     """
-    n = config.system.n_cut
-    omega = config.system.omega
     d = tensors[0].displacement
     gain = (
         _gain_factors([t.v_out for t in tensors], d.T),
         _gain_factors([t.v_in for t in tensors], d),
     )
     loss = (_loss_lines([t.w_in.T for t in tensors]), _loss_lines([t.w_out.T for t in tensors]))
-    jm = np.arange(n)
-    coherent = -1j * omega * (jm[:, None] - jm[None, :])
-    return Liouvillian(gain=gain, loss=loss, coherent=coherent, n_cut=n, decoupled=config.system.lam == 0.0)
+    return Liouvillian(gain=gain, loss=loss, coherent=_coherent(config), n_cut=config.system.n_cut)
 
 
 def _row_blocks(liou: Liouvillian) -> Iterator[tuple[int, np.ndarray]]:
@@ -311,31 +314,33 @@ class SteadyStateInfo:
     min_eig: tuple[float, float]
 
 
-def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
-    """Trace-one kernel vector of the generator.
+def steady_state(
+    config: ModelConfig, tensors: tuple[RedfieldTensors, ...]
+) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
+    """Trace-one kernel vector of the generator, by a bordered LU on its rows.
 
-    Replaces the least diagonally dominant population row of the generator
-    with the trace functional and solves the bordered system, which is
-    nonsingular whenever the kernel is one-dimensional.  One pass over
-    the rows fills a Fortran-order buffer that LAPACK factorises in
-    place, so the solve holds one generator-sized array; the refinement
-    and residual products build the rows again.  A decoupled
-    generator has an N-dimensional kernel, so its phonon sector is not
-    unique; it returns, with method "decoupled", the representative with
-    flat Fock populations, rho0 = (1-p1) I/N and rho1 = p1 I/N, where
-    p1 = gamma_in / (gamma_in + gamma_out) and the two total dot rates are
-    read off the generator diagonal.  Only its dot-sector observables
-    are defined.
-
-    A state whose smallest block eigenvalue lies below ``MIN_EIG_FLOOR``
-    raises: a numerically degenerate generator (0 < lam <= 1e-8) passes
-    the residual gate with a state far from positive.
+    The rows come from ``assemble_liouvillian``.  The least diagonally
+    dominant population row is replaced with the trace functional and the
+    bordered system, nonsingular whenever the kernel is one-dimensional,
+    is solved.  One pass over the rows fills a Fortran-order buffer that
+    LAPACK factorises in place, so the solve holds one generator-sized
+    array; the refinement and residual products build the rows again.  A
+    decoupled generator (lam == 0: the displacement is the identity and
+    every Fock population is stationary) has an N-dimensional kernel, so
+    its phonon sector is not unique; it returns, with method "decoupled",
+    the representative with flat Fock populations, rho0 = (1-p1) I/N and
+    rho1 = p1 I/N, where p1 = gamma_in / (gamma_in + gamma_out) and the
+    two total dot rates are read off the generator diagonal.  Only its
+    dot-sector observables are defined.  The state is then finished as
+    ``_finish`` says.
     """
+    liou = assemble_liouvillian(config, tensors)
+    decoupled = config.system.lam == 0.0
     n = liou.n_cut
     nn = n * n
     dim = 2 * nn
     t = liou.trace_vector
-    buf = None if liou.decoupled else np.empty((dim, dim), dtype=complex, order="F")
+    buf = None if decoupled else np.empty((dim, dim), dtype=complex, order="F")
     row_sums = np.empty(dim)
     diag = np.empty(dim, dtype=complex)
     for start, block in _row_blocks(liou):
@@ -349,11 +354,17 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
         del mags  # before the next run's rows are built
     del block  # the pass's row buffer, before a later pass builds its own
     gate = RESIDUAL_RTOL * float(row_sums.max())
+    # The border rule on the built rows.  ``krylov_steady_state`` takes its
+    # row sums from the factors instead, and where a rho0 and a rho1
+    # population tie (mu_tilde = 0: at delta_mu = -50, lam = 0.7, N = 30,
+    # rows 558 and 1458 both read -5.2687) the two rules can pick different
+    # rows.  The LU keeps its own, so its output bits stay those of the
+    # dense bordered solve.
     rows = np.flatnonzero(t)
     dominance = 2.0 * np.abs(diag[rows]) - row_sums[rows]
     row = int(rows[np.argmin(dominance)])
 
-    if liou.decoupled:
+    if decoupled:
         gamma_in, gamma_out = -diag[0].real, -diag[nn].real
         p1 = gamma_in / (gamma_in + gamma_out)
         flat = np.eye(n, dtype=complex).reshape(-1) / n
@@ -364,7 +375,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
         rhs[row] = 1.0
         buf[row] = t
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a singular pivot fails the residual gate below
+            warnings.simplefilter("ignore")  # a singular pivot fails the residual gate of ``_finish``
             lu = scipy.linalg.lu_factor(buf, overwrite_a=True, check_finite=False)
             x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
             # iterative refinement: pushes the kernel residual to
@@ -372,7 +383,20 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
             for _ in range(2):
                 x = x + scipy.linalg.lu_solve(lu, rhs - _apply(liou, x, border=row), check_finite=False)
         method = "lu"
+    return _finish(x, n, lambda v: _apply(liou, v), gate, row, method)
 
+
+def _finish(
+    x: np.ndarray, n: int, act, gate: float, row: int, method: str
+) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
+    """The reported state from a solve's raw kernel vector ``x``: each block's
+    Hermitian part, scaled to trace one, then two gates.  The residual
+    max|act(state)|, with ``act`` the generator's action, must not exceed
+    ``gate``.  A state whose smallest block eigenvalue lies below
+    ``MIN_EIG_FLOOR`` raises too: a numerically degenerate generator
+    (0 < lam <= 1e-8) passes the residual gate with a state far from positive.
+    """
+    nn = n * n
     rho0 = x[:nn].reshape(n, n)
     rho1 = x[nn:].reshape(n, n)
     rho0 = 0.5 * (rho0 + rho0.conj().T)
@@ -381,8 +405,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
     rho0 = rho0 / tr
     rho1 = rho1 / tr
 
-    final = np.concatenate([rho0.reshape(-1), rho1.reshape(-1)])
-    residual = float(np.abs(_apply(liou, final)).max())
+    residual = float(np.abs(act(np.concatenate([rho0.reshape(-1), rho1.reshape(-1)]))).max())
     if not residual <= gate:
         raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {gate:.3e}")
     min_eig = (
@@ -394,12 +417,7 @@ def steady_state(liou: Liouvillian) -> tuple[BlockDensityMatrix, SteadyStateInfo
             f"stationary state is not positive: smallest block eigenvalue "
             f"{min(min_eig):.3e} is below {MIN_EIG_FLOOR:.0e}"
         )
-    info = SteadyStateInfo(
-        residual=residual,
-        norm_row=row,
-        method=method,
-        min_eig=min_eig,
-    )
+    info = SteadyStateInfo(residual=residual, norm_row=row, method=method, min_eig=min_eig)
     return BlockDensityMatrix(rho0=rho0, rho1=rho1, frame="polaron"), info
 
 
@@ -416,11 +434,10 @@ class _SummedFactors(NamedTuple):
 
 
 def _summed_factors(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) -> _SummedFactors:
-    jm = np.arange(config.system.n_cut)
     return _SummedFactors(
         *(sum(getattr(t, name) for t in tensors) for name in ("w_in", "w_out", "v_in", "v_out")),
         d=tensors[0].displacement,
-        coherent=-1j * config.system.omega * (jm[:, None] - jm[None, :]),
+        coherent=_coherent(config),
     )
 
 
@@ -485,11 +502,11 @@ def krylov_steady_state(
     block is the Pauli rate matrix of sequential tunnelling (Koch & von
     Oppen, PRL 94, 206804 (2005)), bordered in the same row and
     LU-factorised once, and the diagonal (Jacobi) on every coherence.
-    Then, as in ``steady_state``: the Hermitian part, trace one and the
-    ``MIN_EIG_FLOOR`` gate.  The residual gate is RESIDUAL_RTOL times the
-    largest row sum of the coherent and loss terms, which are known
-    without building rows: a lower bound on the infinity norm of the
-    generator, so the gate is never looser than that of ``steady_state``.
+    The state is finished by ``_finish``, as that of ``steady_state`` is.
+    Its residual gate is RESIDUAL_RTOL times the largest row sum of the
+    coherent and loss terms, which are known without building rows: a
+    lower bound on the infinity norm of the generator, so the gate is
+    never looser than that of ``steady_state``.
     A decoupled generator (lam == 0) has no unique kernel vector and is
     refused.
 
@@ -515,6 +532,8 @@ def krylov_steady_state(
     diag = np.concatenate(diag)
     gain_sums = [_gain_row_sums(f.v_out, f.d.T), _gain_row_sums(f.v_in, f.d)]
     pop_sums = np.concatenate([np.diagonal(loss) + gain for loss, gain in zip(loss_sums, gain_sums)])
+    # Not the row-sum rule of ``steady_state``: at exact symmetry ties the
+    # two rules pick different rows (see there), and the LU keeps its own.
     border = int(np.argmin(2.0 * np.abs(diag[pop]) - pop_sums))
     row = int(pop[border])
 
@@ -539,34 +558,13 @@ def krylov_steady_state(
     rhs = np.zeros(2 * nn, dtype=complex)
     rhs[row] = 1.0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a singular pivot fails the gates below
+        warnings.simplefilter("ignore")  # a singular pivot fails the gates of ``_finish``
         lu = scipy.linalg.lu_factor(pauli, check_finite=False)
         x = _gmres(bordered, precondition, rhs)
         x = x + _gmres(bordered, precondition, rhs - bordered(x))
 
-    rho0 = x[:nn].reshape(n, n)
-    rho1 = x[nn:].reshape(n, n)
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
-    rho1 = 0.5 * (rho1 + rho1.conj().T)
-    tr = float(np.trace(rho0).real + np.trace(rho1).real)
-    rho0 = rho0 / tr
-    rho1 = rho1 / tr
-
-    residual = float(np.abs(_act(f, np.concatenate([rho0.reshape(-1), rho1.reshape(-1)]))).max())
     gate = RESIDUAL_RTOL * max(float(loss.max()) for loss in loss_sums)
-    if not residual <= gate:
-        raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {gate:.3e}")
-    min_eig = (
-        float(np.linalg.eigvalsh(rho0)[0]),
-        float(np.linalg.eigvalsh(rho1)[0]),
-    )
-    if not min(min_eig) >= MIN_EIG_FLOOR:
-        raise SteadyStateError(
-            f"stationary state is not positive: smallest block eigenvalue "
-            f"{min(min_eig):.3e} is below {MIN_EIG_FLOOR:.0e}"
-        )
-    info = SteadyStateInfo(residual=residual, norm_row=row, method="gmres", min_eig=min_eig)
-    return BlockDensityMatrix(rho0=rho0, rho1=rho1, frame="polaron"), info
+    return _finish(x, n, lambda v: _act(f, v), gate, row, "gmres")
 
 
 def to_lab_frame(state: BlockDensityMatrix, displacement: np.ndarray) -> BlockDensityMatrix:

@@ -100,14 +100,17 @@ class PointResult:
         return value
 
 
-def evaluate_point(config: ModelConfig, outputs: tuple[str, ...] = OUTPUT_GROUPS) -> PointResult:
-    """Tensors, generator, stationary state, lab frame, phase space (``phasespace``
-    group) and report at the config's own cutoff; raises on failure.  ``run_point``,
-    the validation suites and the phonon exports use it.  ``lab_state`` is None
-    exactly when the generator is decoupled (lam = 0), whose phonon sector is not
-    unique."""
+def evaluate_point(
+    config: ModelConfig, outputs: tuple[str, ...] = OUTPUT_GROUPS, *, solve=None
+) -> PointResult:
+    """Tensors, stationary state, lab frame, phase space (``phasespace`` group) and
+    report at the config's own cutoff; raises on failure.  ``solve(config, tensors)``
+    is the stationary solve, ``redfield.steady_state`` (looked up at each call) by
+    default.  ``run_point``, the validation suites and the phonon exports use it.
+    ``lab_state`` is None exactly when the generator is decoupled (lam = 0), whose
+    phonon sector is not unique."""
     tensors = redfield.build_tensors(config)
-    polaron, info = redfield.steady_state(redfield.assemble_liouvillian(config, tensors))
+    polaron, info = (solve or redfield.steady_state)(config, tensors)
     lab = None if info.method == "decoupled" else redfield.to_lab_frame(polaron, tensors[0].displacement)
 
     tq_result = None
@@ -145,61 +148,51 @@ def run_point(
     With ``n_cut_policy='adaptive'`` the truncation is raised from 20 in
     steps of 10 until the top-decile Fock population falls below 1e-6
     and the torotropy (when requested) moves by less than 1% between
-    consecutive sizes, capping at 80.  Each rung is decided on the
-    matrix-free ``redfield.krylov_steady_state`` and its lab frame and
-    torotropy.  ``evaluate_point``, the reported solve, runs only where
+    consecutive sizes, capping at 80.  Each rung is decided on
+    ``evaluate_point`` with the matrix-free ``redfield.krylov_steady_state``.
+    ``evaluate_point`` with the LU, the reported solve, runs only where
     that decision stops the climb: on a rung it accepts, where the rule is
     checked again on its state and the climb goes on if it fails, and at
     the cap, whose result has status ``n_cut_cap`` unless it meets the rule.
     A rung whose probe fails its gates (``SteadyStateError``), as it can
     where the generator is nearly degenerate and the two solves disagree
-    on positivity, is decided by ``evaluate_point`` alone.
+    on positivity, is decided by the LU alone.
     """
     n = config.system.n_cut  # the cutoff being solved, for an error row
     try:
         if n_cut_policy == "fixed" or config.system.lam == 0.0:
             return evaluate_point(config, outputs)
-        prev = None  # the torotropy of the rung below
+        below = None  # the rung below's result
         n = ADAPTIVE_START
         while True:
             cfg = replace(config, system=replace(config.system, n_cut=n))
-            tensors = redfield.build_tensors(cfg)
             try:
-                probe, _ = redfield.krylov_steady_state(cfg, tensors)
+                result = evaluate_point(cfg, outputs, solve=redfield.krylov_steady_state)
             except redfield.SteadyStateError:  # the LU decides this rung, or names its failure
-                probe = None
-            if probe is not None:
-                lab = redfield.to_lab_frame(probe, tensors[0].displacement)
-                tq = phasespace.torotropy(lab, config.system.lam) if "phasespace" in outputs else None
-            if probe is None or _settled(lab, tq, prev) or n >= ADAPTIVE_CAP:
+                result = None
+            if result is None or _settled(result, below) or n >= ADAPTIVE_CAP:
                 result = evaluate_point(cfg, outputs)
-                tq = result.torotropy
-                if _settled(result.lab_state, tq, prev):
+                if _settled(result, below):
                     return result
                 if n >= ADAPTIVE_CAP:
                     return replace(result, status="n_cut_cap")
-            prev = tq
+            below = result
             n += ADAPTIVE_STEP
     except Exception as exc:  # recorded per point, never fatal to a sweep
         return _failed(n, exc)
 
 
-def _settled(
-    lab: redfield.BlockDensityMatrix,
-    tq: phasespace.TorotropyResult | None,
-    prev: phasespace.TorotropyResult | None,
-) -> bool:
-    """The ladder's stop rule on one rung's lab-frame state and torotropy
-    ``tq`` (None when not requested), with ``prev`` the rung below's: the
-    Fock tail is below ADAPTIVE_TAIL_TOL and a requested torotropy has
-    settled, so then at least two rungs are solved."""
-    if not lab.fock_tail < ADAPTIVE_TAIL_TOL:
+def _settled(point: PointResult, below: PointResult | None) -> bool:
+    """The ladder's stop rule on one rung's result, with ``below`` the rung
+    below's: the lab-frame Fock tail is below ADAPTIVE_TAIL_TOL and a
+    requested torotropy has settled, so then at least two rungs are solved."""
+    if not point.lab_state.fock_tail < ADAPTIVE_TAIL_TOL:
         return False
-    if tq is None:
+    if point.torotropy is None:
         return True
-    if prev is None:
+    if below is None:
         return False
-    a, b = prev.value, tq.value
+    a, b = below.torotropy.value, point.torotropy.value
     return abs(a - b) <= ADAPTIVE_DRIFT_TOL * max(abs(a), abs(b)) or max(abs(a), abs(b)) < 1e-9
 
 

@@ -10,6 +10,13 @@ from qdmr.redfield import _row_blocks, build_tensors
 from qdmr.sweep import evaluate_point
 
 
+# the mu_tilde of the seed-1 adaptive-eq benchmark points (delta_mu = 0, lam = 0.7)
+ADAPTIVE_EQ_MU = (
+    -57.80560420424292, -34.42304671109599, -11.040489217949059,
+    12.342068275197867, 35.7246257683448, 59.107183261491734,
+)
+
+
 def make_config(
     *,
     mu_tilde: float = 0.0,

@@ -20,7 +20,7 @@ from qdmr.redfield import (
 from qdmr.sweep import evaluate_point
 from qdmr.validation import reference_config, two_state_current
 
-from conftest import generator_matrix
+from conftest import ADAPTIVE_EQ_MU, generator_matrix
 from oracles import liouvillian_dense, steady_state_bordered_lu
 
 REL_TOL = 1e-8  # conservation, first law and the lam = 0 current, relative to their flow scale
@@ -86,18 +86,13 @@ def test_rows_and_solve_match_the_dense_oracle(mu_tilde, delta_mu, delta_t_mk, l
     if lam == 0.0:
         return
     rho0, rho1, row, residual = steady_state_bordered_lu(dense, n_cut)
-    state, info = steady_state(liou)
+    state, info = steady_state(config, tensors)
     assert (info.norm_row, info.residual) == (row, residual)
     assert state.rho0.tobytes() == rho0.tobytes()
     assert state.rho1.tobytes() == rho1.tobytes()
 
 
 PROBE_TOL = 1e-12  # largest entry difference between the matrix-free and the LU state, N <= 12
-# the mu_tilde of the seed-1 adaptive-eq benchmark points (delta_mu = 0, lam = 0.7)
-ADAPTIVE_EQ_MU = (
-    -57.80560420424292, -34.42304671109599, -11.040489217949059,
-    12.342068275197867, 35.7246257683448, 59.107183261491734,
-)
 
 
 def _max_state_diff(a, b) -> float:
@@ -106,7 +101,7 @@ def _max_state_diff(a, b) -> float:
 
 def _both_solves(config):
     tensors = build_tensors(config)
-    return krylov_steady_state(config, tensors), steady_state(assemble_liouvillian(config, tensors))
+    return krylov_steady_state(config, tensors), steady_state(config, tensors)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -142,6 +137,6 @@ def test_matrix_free_solve_fails_where_the_lu_solve_fails(lam):
     config = reference_config(mu_tilde=0.0, delta_mu=-50.0, lam=lam, n_cut=20)
     tensors = build_tensors(config)
     with pytest.raises(SteadyStateError):
-        steady_state(assemble_liouvillian(config, tensors))
+        steady_state(config, tensors)
     with pytest.raises(SteadyStateError):
         krylov_steady_state(config, tensors)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qdmr import redfield
 from qdmr.redfield import (
     FrameError,
     SteadyStateError,
@@ -229,8 +230,7 @@ class TestSteadyState:
     def test_matches_long_time_propagation(self):
         config = make_config(**ASYM)
         tensors = build_tensors(config)
-        liou = assemble_liouvillian(config, tensors)
-        state, info = steady_state(liou)
+        state, info = steady_state(config, tensors)
         dense = [
             tensors_dense_ref(
                 config.system.mu_tilde, config.system.omega, lead, t.displacement
@@ -249,10 +249,9 @@ class TestSteadyState:
     def test_result_is_pivot_independent(self):
         # bordering another population row with the trace gives the same state
         config = make_config(**ASYM)
-        liou = assemble_liouvillian(
-            config, build_tensors(config)
-        )
-        base, info = steady_state(liou)
+        tensors = build_tensors(config)
+        liou = assemble_liouvillian(config, tensors)
+        base, info = steady_state(config, tensors)
         t = liou.trace_vector
         population = np.flatnonzero(t)
         other_row = int(population[population != info.norm_row][-1])
@@ -265,20 +264,14 @@ class TestSteadyState:
 
     def test_blocks_are_physical(self):
         config = make_config(**ASYM)
-        liou = assemble_liouvillian(
-            config, build_tensors(config)
-        )
-        state, info = steady_state(liou)
+        state, info = steady_state(config, build_tensors(config))
         np.testing.assert_allclose(state.rho0, state.rho0.conj().T, atol=0)
         np.testing.assert_allclose(state.rho1, state.rho1.conj().T, atol=0)
         assert min(info.min_eig) > -1e-12
 
     def test_zero_coupling_occupation_with_degenerate_accepted(self):
         config = make_config(lam=0.0, n_cut=6, delta_mu=10.0)
-        liou = assemble_liouvillian(
-            config, build_tensors(config)
-        )
-        state, info = steady_state(liou)
+        state, info = steady_state(config, build_tensors(config))
         assert info.method == "decoupled"
         assert evaluate_point(config, ()).lab_state is None
         flat = np.eye(config.system.n_cut) / config.system.n_cut
@@ -316,15 +309,15 @@ class TestSteadyState:
         assert peak - before <= 1.1 * one_copy
 
     @pytest.mark.parametrize("n_cut", [12, 20])
-    def test_solve_holds_one_generator_copy_beyond_the_matrix(self, n_cut):
+    def test_solve_holds_one_generator_copy_beyond_the_matrix(self, n_cut, monkeypatch):
         config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
-        liou = assemble_liouvillian(
-            config, build_tensors(config)
-        )
+        tensors = build_tensors(config)
+        liou = assemble_liouvillian(config, tensors)
+        monkeypatch.setattr(redfield, "assemble_liouvillian", lambda *args: liou)  # built before tracing
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            steady_state(liou)
+            steady_state(config, tensors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -343,9 +336,9 @@ class TestSteadyState:
         # the generator's arrays, and so every row it builds, are the same
         # after a solve that returns or raises
         config = make_config(lam=lam, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
-        liou = assemble_liouvillian(
-            config, build_tensors(config)
-        )
+        tensors = build_tensors(config)
+        liou = assemble_liouvillian(config, tensors)
+        monkeypatch.setattr(redfield, "assemble_liouvillian", lambda *args: liou)  # the solve's generator
         arrays = _held_arrays(liou)
         before = [a.tobytes() for a in arrays]
         matrix = generator_matrix(liou).tobytes()
@@ -355,7 +348,7 @@ class TestSteadyState:
 
             monkeypatch.setattr(scipy.linalg, "lu_solve", out_of_memory)
         with pytest.raises(error) if error else contextlib.nullcontext():
-            steady_state(liou)
+            steady_state(config, tensors)
         assert [a.tobytes() for a in arrays] == before
         assert generator_matrix(liou).tobytes() == matrix
 
@@ -364,8 +357,7 @@ class TestFramesAndSerialization:
     def test_lab_frame_transform_and_guard(self):
         config = make_config(**ASYM)
         tensors = build_tensors(config)
-        liou = assemble_liouvillian(config, tensors)
-        state, _ = steady_state(liou)
+        state, _ = steady_state(config, tensors)
         d = tensors[0].displacement
         lab = to_lab_frame(state, d)
         assert lab.frame == "lab"
@@ -381,7 +373,7 @@ class TestFramesAndSerialization:
         for n in (20, 30):
             config = make_config(mu_tilde=3.0, delta_mu=14.0, lam=0.9, n_cut=n)
             tensors = build_tensors(config)
-            state, _ = steady_state(assemble_liouvillian(config, tensors))
+            state, _ = steady_state(config, tensors)
             lab = to_lab_frame(state, tensors[0].displacement)
             deficits.append(abs(lab.trace - 1.0))
         assert deficits[1] < 1e-6
