@@ -26,13 +26,13 @@ There are two stationary solves, with one contract: each takes
 ``(config, tensors)``, borders the least diagonally dominant population
 row with the trace, and hands its raw solution to one finish (Hermitian
 part, trace one, the residual and positivity gates).  They differ only in
-how they solve the bordered system.  ``steady_state`` builds the
-generator's rows (``assemble_liouvillian``, internal to it) and factorises
-them by LU, O(N^6) time; every reported state comes from it.
-``krylov_steady_state`` applies the block actions above directly, with the
-factors summed over the leads: 12 N x N matrix products, O(N^3) time and
-O(N^2) memory.  It solves by preconditioned GMRES, and the adaptive cutoff
-ladder of ``sweep.run_point`` decides its rungs on it.
+how they solve the bordered system.  ``krylov_steady_state``, the one
+``sweep.evaluate_point`` reports, applies the block actions above with the
+factors summed over the leads (12 N x N matrix products, O(N^3) time and
+O(N^2) memory) and solves by preconditioned GMRES.  ``steady_state`` builds
+the generator's rows (``assemble_liouvillian``) and factorises them by LU,
+O(N^6) time; it reports where GMRES fails its gates (0 < lam <~ 1e-7) and
+confirms the rung that the adaptive cutoff ladder accepts.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ def _apply(liou: Liouvillian, x: np.ndarray, border: int | None = None) -> np.nd
 class SteadyStateInfo:
     residual: float
     norm_row: int
-    method: str  # "lu", "gmres" (``krylov_steady_state``), or "decoupled" for the closed-form lam = 0 state
+    method: str  # "lu" (``steady_state``), "gmres" (``krylov_steady_state``), or its closed-form lam = 0 state "decoupled"
     min_eig: tuple[float, float]
 
 
@@ -324,30 +324,23 @@ def steady_state(
     bordered system, nonsingular whenever the kernel is one-dimensional,
     is solved.  One pass over the rows fills a Fortran-order buffer that
     LAPACK factorises in place, so the solve holds one generator-sized
-    array; the refinement and residual products build the rows again.  A
-    decoupled generator (lam == 0: the displacement is the identity and
-    every Fock population is stationary) has an N-dimensional kernel, so
-    its phonon sector is not unique; it returns, with method "decoupled",
-    the representative with flat Fock populations, rho0 = (1-p1) I/N and
-    rho1 = p1 I/N, where p1 = gamma_in / (gamma_in + gamma_out) and the
-    two total dot rates are read off the generator diagonal.  Only its
-    dot-sector observables are defined.  The state is then finished as
-    ``_finish`` says.
+    array; the refinement and residual products build the rows again.
+    ``_finish`` ends it.  A decoupled generator (lam == 0) is refused.
     """
+    if config.system.lam == 0.0:
+        raise ValueError("a decoupled generator (lam = 0) has no unique stationary state; use krylov_steady_state")
     liou = assemble_liouvillian(config, tensors)
-    decoupled = config.system.lam == 0.0
     n = liou.n_cut
     nn = n * n
     dim = 2 * nn
     t = liou.trace_vector
-    buf = None if decoupled else np.empty((dim, dim), dtype=complex, order="F")
+    buf = np.empty((dim, dim), dtype=complex, order="F")
     row_sums = np.empty(dim)
     diag = np.empty(dim, dtype=complex)
     for start, block in _row_blocks(liou):
         stop = start + len(block)
         diag[start:stop] = block.reshape(-1)[start :: dim + 1]
-        if buf is not None:
-            buf[start:stop] = block
+        buf[start:stop] = block
         mags = np.abs(block.real)  # as np.abs(block) off the diagonal, where every entry is real
         mags.reshape(-1)[start :: dim + 1] = np.abs(diag[start:stop])
         row_sums[start:stop] = mags.sum(axis=1)
@@ -364,26 +357,18 @@ def steady_state(
     dominance = 2.0 * np.abs(diag[rows]) - row_sums[rows]
     row = int(rows[np.argmin(dominance)])
 
-    if decoupled:
-        gamma_in, gamma_out = -diag[0].real, -diag[nn].real
-        p1 = gamma_in / (gamma_in + gamma_out)
-        flat = np.eye(n, dtype=complex).reshape(-1) / n
-        x = np.concatenate([(1.0 - p1) * flat, p1 * flat])
-        method = "decoupled"
-    else:
-        rhs = np.zeros(dim, dtype=complex)
-        rhs[row] = 1.0
-        buf[row] = t
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a singular pivot fails the residual gate of ``_finish``
-            lu = scipy.linalg.lu_factor(buf, overwrite_a=True, check_finite=False)
-            x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-            # iterative refinement: pushes the kernel residual to
-            # rounding level so conservation identities hold tightly
-            for _ in range(2):
-                x = x + scipy.linalg.lu_solve(lu, rhs - _apply(liou, x, border=row), check_finite=False)
-        method = "lu"
-    return _finish(x, n, lambda v: _apply(liou, v), gate, row, method)
+    rhs = np.zeros(dim, dtype=complex)
+    rhs[row] = 1.0
+    buf[row] = t
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a singular pivot fails the residual gate of ``_finish``
+        lu = scipy.linalg.lu_factor(buf, overwrite_a=True, check_finite=False)
+        x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        # iterative refinement: pushes the kernel residual to
+        # rounding level so conservation identities hold tightly
+        for _ in range(2):
+            x = x + scipy.linalg.lu_solve(lu, rhs - _apply(liou, x, border=row), check_finite=False)
+    return _finish(x, n, lambda v: _apply(liou, v), gate, row, "lu")
 
 
 def _finish(
@@ -507,15 +492,17 @@ def krylov_steady_state(
     coherent and loss terms, which are known without building rows: a
     lower bound on the infinity norm of the generator, so the gate is
     never looser than that of ``steady_state``.
-    A decoupled generator (lam == 0) has no unique kernel vector and is
-    refused.
+
+    A decoupled generator (lam == 0: D = I, every Fock population is
+    stationary) has an N-dimensional kernel.  Unsolved, with method
+    "decoupled", it returns the representative with flat Fock populations,
+    rho0 = (1-p1) I/N and rho1 = p1 I/N, with the lead-summed total dot rates
+    in p1 = W_in[0, 0] / (W_in[0, 0] + W_out[0, 0]).  Only its dot sector is defined.
 
     Where the generator is nearly degenerate (0 < lam <~ 1e-5), the state
     is ill-determined: this solve and the LU agree only to about
     1e-16 / lam^2 there.
     """
-    if config.system.lam == 0.0:
-        raise ValueError("a decoupled generator (lam = 0) has no unique stationary state; use steady_state")
     f = _summed_factors(config, tensors)
     n = config.system.n_cut
     nn = n * n
@@ -536,6 +523,13 @@ def krylov_steady_state(
     # two rules pick different rows (see there), and the LU keeps its own.
     border = int(np.argmin(2.0 * np.abs(diag[pop]) - pop_sums))
     row = int(pop[border])
+    gate = RESIDUAL_RTOL * max(float(loss.max()) for loss in loss_sums)
+
+    if config.system.lam == 0.0:
+        p1 = f.w_in[0, 0] / (f.w_in[0, 0] + f.w_out[0, 0])
+        flat = np.eye(n, dtype=complex).reshape(-1) / n
+        x = np.concatenate([(1.0 - p1) * flat, p1 * flat])
+        return _finish(x, n, lambda v: _act(f, v), gate, row, "decoupled")
 
     pauli = np.block([
         [np.diag(-np.diagonal(f.w_in)), f.v_out * f.d.T],
@@ -562,8 +556,6 @@ def krylov_steady_state(
         lu = scipy.linalg.lu_factor(pauli, check_finite=False)
         x = _gmres(bordered, precondition, rhs)
         x = x + _gmres(bordered, precondition, rhs - bordered(x))
-
-    gate = RESIDUAL_RTOL * max(float(loss.max()) for loss in loss_sums)
     return _finish(x, n, lambda v: _act(f, v), gate, row, "gmres")
 
 

@@ -70,6 +70,7 @@ class PointResult:
     n_cut: int
     residual: float
     min_eig: float
+    method: str | None = None  # the solve's ``SteadyStateInfo.method``; None on an error row
     report: observables.ThermoReport | None = None
     torotropy: phasespace.TorotropyResult | None = None
     ergotropy: float | None = None
@@ -100,17 +101,26 @@ class PointResult:
         return value
 
 
+def _default_solve(config: ModelConfig, tensors: tuple) -> tuple:
+    """The matrix-free solve, or the LU where it fails its gates (0 < lam <~ 1e-7)."""
+    try:
+        return redfield.krylov_steady_state(config, tensors)
+    except redfield.SteadyStateError:
+        return redfield.steady_state(config, tensors)
+
+
 def evaluate_point(
     config: ModelConfig, outputs: tuple[str, ...] = OUTPUT_GROUPS, *, solve=None
 ) -> PointResult:
     """Tensors, stationary state, lab frame, phase space (``phasespace`` group) and
     report at the config's own cutoff; raises on failure.  ``solve(config, tensors)``
-    is the stationary solve, ``redfield.steady_state`` (looked up at each call) by
-    default.  ``run_point``, the validation suites and the phonon exports use it.
-    ``lab_state`` is None exactly when the generator is decoupled (lam = 0), whose
-    phonon sector is not unique."""
+    is the stationary solve: by default ``redfield.krylov_steady_state``, and
+    ``redfield.steady_state`` where that raises ``SteadyStateError``, both looked
+    up at each call.  ``run_point``, the validation suites and the phonon exports
+    use it.  ``lab_state`` is None exactly when the generator is decoupled
+    (lam = 0, method "decoupled"), whose phonon sector is not unique."""
     tensors = redfield.build_tensors(config)
-    polaron, info = (solve or redfield.steady_state)(config, tensors)
+    polaron, info = (solve or _default_solve)(config, tensors)
     lab = None if info.method == "decoupled" else redfield.to_lab_frame(polaron, tensors[0].displacement)
 
     tq_result = None
@@ -124,10 +134,11 @@ def evaluate_point(
         torotropy_value=tq_result.value if tq_result else None,
     )
     return PointResult(
-        status="degenerate" if lab is None else "ok",
+        status="degenerate" if info.method == "decoupled" else "ok",
         n_cut=config.system.n_cut,
         residual=info.residual,
         min_eig=min(info.min_eig),
+        method=info.method,
         report=report,
         torotropy=tq_result,
         ergotropy=ergo,
@@ -148,15 +159,15 @@ def run_point(
     With ``n_cut_policy='adaptive'`` the truncation is raised from 20 in
     steps of 10 until the top-decile Fock population falls below 1e-6
     and the torotropy (when requested) moves by less than 1% between
-    consecutive sizes, capping at 80.  Each rung is decided on
-    ``evaluate_point`` with the matrix-free ``redfield.krylov_steady_state``.
-    ``evaluate_point`` with the LU, the reported solve, runs only where
-    that decision stops the climb: on a rung it accepts, where the rule is
-    checked again on its state and the climb goes on if it fails, and at
-    the cap, whose result has status ``n_cut_cap`` unless it meets the rule.
-    A rung whose probe fails its gates (``SteadyStateError``), as it can
-    where the generator is nearly degenerate and the two solves disagree
-    on positivity, is decided by the LU alone.
+    consecutive sizes, capping at 80.  Each rung is decided on the default
+    solve of ``evaluate_point``, the one a fixed cutoff reports.  Where that
+    stops the climb on a matrix-free state, the rung is solved again by the
+    LU, and the rule is checked on that state: on a rung it accepts (the
+    climb goes on if the check fails) and at the cap (status ``n_cut_cap``
+    unless the rule holds).  A rung that fell back to the LU is not solved
+    twice.  The LU confirms because ``eta_converter`` at equilibrium reads
+    0.0 or nan from the last bits of a rounding-level ``I_R``, and the
+    benchmark reference holds the LU's bits there.
     """
     n = config.system.n_cut  # the cutoff being solved, for an error row
     try:
@@ -166,16 +177,13 @@ def run_point(
         n = ADAPTIVE_START
         while True:
             cfg = replace(config, system=replace(config.system, n_cut=n))
-            try:
-                result = evaluate_point(cfg, outputs, solve=redfield.krylov_steady_state)
-            except redfield.SteadyStateError:  # the LU decides this rung, or names its failure
-                result = None
-            if result is None or _settled(result, below) or n >= ADAPTIVE_CAP:
-                result = evaluate_point(cfg, outputs)
-                if _settled(result, below):
-                    return result
-                if n >= ADAPTIVE_CAP:
-                    return replace(result, status="n_cut_cap")
+            result = evaluate_point(cfg, outputs)
+            if result.method != "lu" and (_settled(result, below) or n >= ADAPTIVE_CAP):
+                result = evaluate_point(cfg, outputs, solve=redfield.steady_state)
+            if _settled(result, below):
+                return result
+            if n >= ADAPTIVE_CAP:
+                return replace(result, status="n_cut_cap")
             below = result
             n += ADAPTIVE_STEP
     except Exception as exc:  # recorded per point, never fatal to a sweep

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm, lu_factor, lu_solve
 from scipy.special import digamma, exp1, gammaln
 
-from qdmr import sweep
+from qdmr import redfield, sweep
 
 
 # --- ladder operators and displacement ---------------------------------
@@ -393,8 +393,9 @@ def steady_state_bordered_lu(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
 
 def adaptive_ladder_lu(config, outputs):
     """``sweep.run_point(config, outputs, n_cut_policy="adaptive")`` as it was
-    when every rung ran ``evaluate_point`` and the stop rule read its state.
-    The ADAPTIVE_* constants are read from ``qdmr.sweep`` at call time, so a
+    when every rung ran ``evaluate_point`` with the LU and the stop rule read
+    its state; at lam = 0 the closed-form point of the default solve.  The
+    ADAPTIVE_* constants are read from ``qdmr.sweep`` at call time, so a
     test can shorten the ladder."""
     n = config.system.n_cut
     try:
@@ -405,7 +406,7 @@ def adaptive_ladder_lu(config, outputs):
         while True:
             cfg = replace(config, system=replace(config.system, n_cut=n))
             prev = result
-            result = sweep.evaluate_point(cfg, outputs)
+            result = sweep.evaluate_point(cfg, outputs, solve=redfield.steady_state)
             tail_ok = result.lab_state is not None and result.lab_state.fock_tail < sweep.ADAPTIVE_TAIL_TOL
             drift_ok = True
             if "phasespace" in outputs:  # the torotropy must also settle, so at least two sizes

@@ -7,6 +7,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qdmr import redfield, sweep
@@ -60,7 +61,7 @@ def test_the_tracer_times_the_generator_inside_the_lu_solve(tracing, monkeypatch
             patch.setattr(importlib.import_module(module), attr, fn)
         tracer = tracing.Tracer()
         tracer.install()
-        evaluate_point(make_config(n_cut=6))
+        evaluate_point(make_config(n_cut=6), solve=redfield.steady_state)
     assert all(getattr(importlib.import_module(m), a) is fn for (m, a), fn in originals.items())
     names = [name for name, *_ in tracer.spans]
     assert names.count("redfield.steady_state") == names.count("redfield.assemble_liouvillian") == 1
@@ -100,10 +101,12 @@ def layer_calls(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.0, 0.7])
 def test_a_point_calls_each_solver_layer_once(layer_calls, lam):
-    # one displacement matrix per point, shared by both leads; no lab frame at lam = 0
+    # one displacement matrix per point, shared by both leads; the matrix-free
+    # solve and no generator rows, also at lam = 0, where no lab frame is taken
     calls, built = layer_calls
     evaluate_point(make_config(lam=lam, n_cut=6))
-    assert calls == {name: 1 for name in SOLVER_LAYERS if not (lam == 0.0 and name == "to_lab_frame")}
+    expected = ("displacement_matrix", "build_tensors", PROBE) + (("to_lab_frame",) if lam else ())
+    assert calls == dict.fromkeys(expected, 1)
     ((tensors_l, tensors_r),) = built
     assert tensors_l.displacement is tensors_r.displacement
 
@@ -138,7 +141,22 @@ def test_a_probe_evaluation_matches_the_lu_row_without_the_dense_solve(layer_cal
     probe = evaluate_point(config, solve=redfield.krylov_steady_state)
     assert calls["steady_state"] == calls["assemble_liouvillian"] == 0
     assert calls[PROBE] == 1
-    lu = evaluate_point(config)
+    _assert_row_matches_the_lu_row(probe, evaluate_point(config, solve=redfield.steady_state))
+
+
+@pytest.mark.parametrize("lam", [0.35, 0.7, 1.05, 1.4])
+def test_fixed_policy_rows_match_the_lu_rows_on_the_sweep_lam_grid(lam):
+    # the benchmark's lam x mu_tilde grid at N = 12, mu_tilde = 0 included, where
+    # a rho0 and a rho1 population tie under the two solves' border rules; the
+    # LU refuses the grid's lam = 0, whose rows have no solve
+    for mu_tilde in np.linspace(-60.0, 60.0, 9):
+        config = reference_config(mu_tilde=float(mu_tilde), delta_mu=-50.0, lam=lam, n_cut=12)
+        point = run_point(config)
+        assert point.method == "gmres"
+        _assert_row_matches_the_lu_row(point, evaluate_point(config, solve=redfield.steady_state))
+
+
+def _assert_row_matches_the_lu_row(probe, lu):
     probe_row, lu_row = probe.row(OUTPUT_GROUPS), lu.row(OUTPUT_GROUPS)
     zero_current = abs(lu.report.current_r) < FLOW_FLOOR
     for column in lu_row.keys() - {"residual", "min_eig"}:

@@ -295,6 +295,27 @@ class TestRunPoint:
         result = run_point(config)
         assert result.status == "error:SteadyStateError"
 
+    def test_a_fixed_point_the_matrix_free_solve_fails_is_reported_by_the_lu(self):
+        # near degeneracy GMRES can fail the positivity gate where the LU passes it
+        config = make_config(lam=5e-8, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
+        with pytest.raises(redfield.SteadyStateError):
+            redfield.krylov_steady_state(config, redfield.build_tensors(config))
+        result = run_point(config)
+        assert (result.status, result.method) == ("ok", "lu")
+        assert result.min_eig >= redfield.MIN_EIG_FLOOR
+
+    def test_a_point_both_solves_fail_is_an_error_row_from_the_lu(self, monkeypatch):
+        tried = []
+        for name in ("krylov_steady_state", "steady_state"):
+            def traced(*args, name=name, fn=getattr(redfield, name)):
+                tried.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(redfield, name, traced)
+        result = run_point(make_config(lam=1e-10, mu_tilde=0.0, delta_mu=-50.0, n_cut=20))
+        assert (result.status, result.method) == ("error:SteadyStateError", None)
+        assert tried == ["krylov_steady_state", "steady_state"]
+
     def test_adaptive_error_row_names_the_cutoff_that_failed(self):
         # the ladder starts at ADAPTIVE_START whatever the configured cutoff,
         # and this point fails the positivity gate on its first rung

@@ -220,10 +220,22 @@ class TestMatrixFreeAction:
         for ref in (rows, dense):
             assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_solve_refuses_a_decoupled_generator(self):
-        config = make_config(lam=0.0, n_cut=6)
-        with pytest.raises(ValueError, match="decoupled"):
-            krylov_steady_state(config, build_tensors(config))
+    @pytest.mark.parametrize("n_cut", [2, 6])
+    def test_decoupled_state_reads_the_total_dot_rates_off_the_generator_diagonal(self, n_cut):
+        # at lam = 0 there is no solve: the lead-summed W_in[0, 0] and W_out[0, 0]
+        # have the bits of the diagonal of population (0, 0) of each block's rows
+        config = make_config(lam=0.0, n_cut=n_cut, delta_mu=10.0)
+        tensors = build_tensors(config)
+        state, info = krylov_steady_state(config, tensors)
+        assert info.method == "decoupled"
+        diag = np.diagonal(generator_matrix(assemble_liouvillian(config, tensors)))
+        gamma_in, gamma_out = -diag[0].real, -diag[n_cut**2].real
+        p1 = gamma_in / (gamma_in + gamma_out)
+        flat = np.eye(n_cut, dtype=complex).reshape(-1) / n_cut
+        x = np.concatenate([(1.0 - p1) * flat, p1 * flat])
+        expected, _ = redfield._finish(x, n_cut, lambda v: np.zeros(1), 0.0, info.norm_row, "decoupled")
+        assert state.rho0.tobytes() == expected.rho0.tobytes()
+        assert state.rho1.tobytes() == expected.rho1.tobytes()
 
 
 class TestSteadyState:
@@ -269,9 +281,14 @@ class TestSteadyState:
         np.testing.assert_allclose(state.rho1, state.rho1.conj().T, atol=0)
         assert min(info.min_eig) > -1e-12
 
+    def test_refuses_a_decoupled_generator(self):
+        config = make_config(lam=0.0, n_cut=6)
+        with pytest.raises(ValueError, match="decoupled"):
+            steady_state(config, build_tensors(config))
+
     def test_zero_coupling_occupation_with_degenerate_accepted(self):
         config = make_config(lam=0.0, n_cut=6, delta_mu=10.0)
-        state, info = steady_state(config, build_tensors(config))
+        state, info = krylov_steady_state(config, build_tensors(config))
         assert info.method == "decoupled"
         assert evaluate_point(config, ()).lab_state is None
         flat = np.eye(config.system.n_cut) / config.system.n_cut
@@ -297,7 +314,7 @@ class TestSteadyState:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            evaluate_point(config, ())
+            evaluate_point(config, (), solve=steady_state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -307,6 +324,21 @@ class TestSteadyState:
         one_copy = 16 * (2 * n * n) ** 2
         assert peak - before <= 1.5 * one_copy
         assert peak - before <= 1.1 * one_copy
+
+    def test_default_solve_holds_no_generator_sized_array(self):
+        # a point evaluated by the matrix-free solve peaks at its GMRES basis,
+        # GMRES_MAX_ITER + 1 complex vectors of 2 N^2 (3232 N^2 bytes), and
+        # O(N^2) more: 3960 N^2 bytes at N = 30, 7% of one dense copy
+        n = 30
+        config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert evaluate_point(config, ()).method == "gmres"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.5 * 16 * 2 * n * n * (redfield.GMRES_MAX_ITER + 1)
 
     @pytest.mark.parametrize("n_cut", [12, 20])
     def test_solve_holds_one_generator_copy_beyond_the_matrix(self, n_cut, monkeypatch):
