@@ -12,6 +12,7 @@ from .redfield import (
     RedfieldTensors,
     SteadyStateError,
     build_tensors,
+    krylov_steady_state,
     steady_state,
     to_lab_frame,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "angular_ghz",
     "build_tensors",
     "ghz_from_mk",
+    "krylov_steady_state",
     "steady_state",
     "to_lab_frame",
     "__version__",

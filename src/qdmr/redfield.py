@@ -23,10 +23,11 @@ matrix.  The block actions are
 plus the coherent part -i*omega*(j - m) on each block's element (j, m).
 
 There are two stationary solves, with one contract: each takes
-``(config, tensors)``, borders the least diagonally dominant population
-row with the trace, and hands its raw solution to one finish (Hermitian
-part, trace one, the residual and positivity gates).  They differ only in
-how they solve the bordered system.  ``krylov_steady_state``, the one
+``(config, tensors)``, solves one bordered system (``_bordered_system``:
+the same border row, the same gate and the same residual action, all from
+the lead-summed factors) and hands its raw solution to one finish
+(Hermitian part, trace one, the residual and positivity gates).  They
+differ only in how they solve the bordered system.  ``krylov_steady_state``, the one
 ``sweep.evaluate_point`` reports, applies the block actions above with the
 factors summed over the leads (12 N x N matrix products, O(N^3) time and
 O(N^2) memory) and solves by preconditioned GMRES.  ``steady_state`` builds
@@ -294,13 +295,13 @@ def _row_blocks(liou: Liouvillian) -> Iterator[tuple[int, np.ndarray]]:
             yield start, rows
 
 
-def _apply(liou: Liouvillian, x: np.ndarray, border: int | None = None) -> np.ndarray:
-    """Generator times ``x``, one run of rows at a time; row ``border``, if
-    given, is replaced with the trace functional for this product."""
+def _apply(liou: Liouvillian, x: np.ndarray, border: int) -> np.ndarray:
+    """The bordered generator times ``x``, one run of rows at a time: row
+    ``border`` is replaced with the trace functional for this product."""
     y = np.empty_like(x)
     for start, block in _row_blocks(liou):
         stop = start + len(block)
-        if border is not None and start <= border < stop:
+        if start <= border < stop:
             block[border - start] = liou.trace_vector
         y[start:stop] = block @ x
     return y
@@ -319,47 +320,26 @@ def steady_state(
 ) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
     """Trace-one kernel vector of the generator, by a bordered LU on its rows.
 
-    The rows come from ``assemble_liouvillian``.  The least diagonally
-    dominant population row is replaced with the trace functional and the
-    bordered system, nonsingular whenever the kernel is one-dimensional,
-    is solved.  One pass over the rows fills a Fortran-order buffer that
-    LAPACK factorises in place, so the solve holds one generator-sized
-    array; the refinement and residual products build the rows again.
-    ``_finish`` ends it.  A decoupled generator (lam == 0) is refused.
+    The rows come from ``assemble_liouvillian``; the border row, the gate
+    and the residual action are those of ``krylov_steady_state``
+    (``_bordered_system``).  One pass over the rows fills a
+    Fortran-order buffer that LAPACK factorises in place, so the solve
+    holds one generator-sized array; the two refinement products build the
+    rows again.  ``_finish`` ends it.  A decoupled generator (lam == 0) is refused.
     """
     if config.system.lam == 0.0:
         raise ValueError("a decoupled generator (lam = 0) has no unique stationary state; use krylov_steady_state")
+    system = _bordered_system(config, tensors)
     liou = assemble_liouvillian(config, tensors)
-    n = liou.n_cut
-    nn = n * n
-    dim = 2 * nn
-    t = liou.trace_vector
+    dim = 2 * liou.n_cut**2
     buf = np.empty((dim, dim), dtype=complex, order="F")
-    row_sums = np.empty(dim)
-    diag = np.empty(dim, dtype=complex)
     for start, block in _row_blocks(liou):
-        stop = start + len(block)
-        diag[start:stop] = block.reshape(-1)[start :: dim + 1]
-        buf[start:stop] = block
-        mags = np.abs(block.real)  # as np.abs(block) off the diagonal, where every entry is real
-        mags.reshape(-1)[start :: dim + 1] = np.abs(diag[start:stop])
-        row_sums[start:stop] = mags.sum(axis=1)
-        del mags  # before the next run's rows are built
+        buf[start : start + len(block)] = block
     del block  # the pass's row buffer, before a later pass builds its own
-    gate = RESIDUAL_RTOL * float(row_sums.max())
-    # The border rule on the built rows.  ``krylov_steady_state`` takes its
-    # row sums from the factors instead, and where a rho0 and a rho1
-    # population tie (mu_tilde = 0: at delta_mu = -50, lam = 0.7, N = 30,
-    # rows 558 and 1458 both read -5.2687) the two rules can pick different
-    # rows.  The LU keeps its own, so its output bits stay those of the
-    # dense bordered solve.
-    rows = np.flatnonzero(t)
-    dominance = 2.0 * np.abs(diag[rows]) - row_sums[rows]
-    row = int(rows[np.argmin(dominance)])
 
     rhs = np.zeros(dim, dtype=complex)
-    rhs[row] = 1.0
-    buf[row] = t
+    rhs[system.row] = 1.0
+    buf[system.row] = liou.trace_vector
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a singular pivot fails the residual gate of ``_finish``
         lu = scipy.linalg.lu_factor(buf, overwrite_a=True, check_finite=False)
@@ -367,20 +347,19 @@ def steady_state(
         # iterative refinement: pushes the kernel residual to
         # rounding level so conservation identities hold tightly
         for _ in range(2):
-            x = x + scipy.linalg.lu_solve(lu, rhs - _apply(liou, x, border=row), check_finite=False)
-    return _finish(x, n, lambda v: _apply(liou, v), gate, row, "lu")
+            x = x + scipy.linalg.lu_solve(lu, rhs - _apply(liou, x, system.row), check_finite=False)
+    return _finish(x, system, "lu")
 
 
-def _finish(
-    x: np.ndarray, n: int, act, gate: float, row: int, method: str
-) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
+def _finish(x: np.ndarray, system: _BorderedSystem, method: str) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
     """The reported state from a solve's raw kernel vector ``x``: each block's
     Hermitian part, scaled to trace one, then two gates.  The residual
-    max|act(state)|, with ``act`` the generator's action, must not exceed
-    ``gate``.  A state whose smallest block eigenvalue lies below
-    ``MIN_EIG_FLOOR`` raises too: a numerically degenerate generator
-    (0 < lam <= 1e-8) passes the residual gate with a state far from positive.
+    max|_act(state)| must not exceed ``system.gate``.  A state whose
+    smallest block eigenvalue lies below ``MIN_EIG_FLOOR`` raises too: a
+    numerically degenerate generator (0 < lam <= 1e-8) passes the residual
+    gate with a state far from positive.
     """
+    n = system.f.d.shape[0]
     nn = n * n
     rho0 = x[:nn].reshape(n, n)
     rho1 = x[nn:].reshape(n, n)
@@ -390,9 +369,9 @@ def _finish(
     rho0 = rho0 / tr
     rho1 = rho1 / tr
 
-    residual = float(np.abs(act(np.concatenate([rho0.reshape(-1), rho1.reshape(-1)]))).max())
-    if not residual <= gate:
-        raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {gate:.3e}")
+    residual = float(np.abs(_act(system.f, np.concatenate([rho0.reshape(-1), rho1.reshape(-1)]))).max())
+    if not residual <= system.gate:
+        raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {system.gate:.3e}")
     min_eig = (
         float(np.linalg.eigvalsh(rho0)[0]),
         float(np.linalg.eigvalsh(rho1)[0]),
@@ -402,7 +381,7 @@ def _finish(
             f"stationary state is not positive: smallest block eigenvalue "
             f"{min(min_eig):.3e} is below {MIN_EIG_FLOOR:.0e}"
         )
-    info = SteadyStateInfo(residual=residual, norm_row=row, method=method, min_eig=min_eig)
+    info = SteadyStateInfo(residual=residual, norm_row=system.row, method=method, min_eig=min_eig)
     return BlockDensityMatrix(rho0=rho0, rho1=rho1, frame="polaron"), info
 
 
@@ -416,14 +395,6 @@ class _SummedFactors(NamedTuple):
     v_out: np.ndarray
     d: np.ndarray
     coherent: np.ndarray  # -i omega (j - m) at [j, m]
-
-
-def _summed_factors(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) -> _SummedFactors:
-    return _SummedFactors(
-        *(sum(getattr(t, name) for t in tensors) for name in ("w_in", "w_out", "v_in", "v_out")),
-        d=tensors[0].displacement,
-        coherent=_coherent(config),
-    )
 
 
 def _act(f: _SummedFactors, x: np.ndarray) -> np.ndarray:
@@ -441,6 +412,54 @@ def _gain_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     populations of the block that this gain feeds."""
     outer = a[:, :, None] * b[:, None, :]
     return 0.5 * np.abs(outer + outer.transpose(0, 2, 1)).sum(axis=(1, 2))
+
+
+class _BorderedSystem(NamedTuple):
+    """What both stationary solves share; see ``_bordered_system``."""
+
+    f: _SummedFactors  # whose action ``_act`` measures every residual
+    pop: np.ndarray  # the 2N population rows, rho0's then rho1's
+    border: int  # the index in ``pop`` of the row bordered with the trace
+    diag: np.ndarray  # the generator diagonal
+    gate: float  # largest max|L x| of a stationary state x
+
+    @property
+    def row(self) -> int:
+        return int(self.pop[self.border])
+
+
+def _bordered_system(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) -> _BorderedSystem:
+    """The border row and the residual gate of both solves, from the factors.
+
+    The least diagonally dominant population row (smallest 2|L_ii| -
+    sum_k |L_ik|, its row sums read off the factors) is replaced with the
+    trace functional, which makes the system nonsingular whenever the
+    kernel is one-dimensional.  The gate is RESIDUAL_RTOL times the largest
+    row sum of the coherent and loss terms: a lower bound on the infinity
+    norm of the generator, so never looser than RESIDUAL_RTOL times that norm.
+    """
+    f = _SummedFactors(
+        *(sum(getattr(t, name) for t in tensors) for name in ("w_in", "w_out", "v_in", "v_out")),
+        d=tensors[0].displacement,
+        coherent=_coherent(config),
+    )
+    n = config.system.n_cut
+    pop = np.concatenate([np.arange(n) * (n + 1), n * n + np.arange(n) * (n + 1)])
+
+    diag = []  # each block's generator diagonal
+    loss_sums = []  # each block's row sums of |coherent + loss|, [j, m] for row (j, m)
+    for w in (f.w_in, f.w_out):
+        w_d = np.diagonal(w)
+        off = 0.5 * (np.abs(w).sum(axis=0) - np.abs(w_d))  # along one index of a row, off the diagonal
+        block = f.coherent - 0.5 * (w_d[:, None] + w_d[None, :])
+        diag.append(block.reshape(-1))
+        loss_sums.append(off[:, None] + off[None, :] + np.abs(block))
+    diag = np.concatenate(diag)
+    gain_sums = [_gain_row_sums(f.v_out, f.d.T), _gain_row_sums(f.v_in, f.d)]
+    pop_sums = np.concatenate([np.diagonal(loss) + gain for loss, gain in zip(loss_sums, gain_sums)])
+    border = int(np.argmin(2.0 * np.abs(diag[pop]) - pop_sums))
+    gate = RESIDUAL_RTOL * max(float(loss.max()) for loss in loss_sums)
+    return _BorderedSystem(f, pop, border, diag, gate)
 
 
 def _gmres(matvec, precondition, rhs: np.ndarray) -> np.ndarray:
@@ -478,20 +497,15 @@ def krylov_steady_state(
     """Trace-one kernel vector of the generator, without its rows.
 
     The generator acts through its factors (``_act``: O(N^3) time, O(N^2)
-    memory).  As in ``steady_state``, the least diagonally dominant
-    population row is replaced with the trace functional; the row sums it
-    needs come from the factors.  The bordered system is solved by GMRES
-    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)) to a
-    relative residual of GMRES_RTOL, then once more on the residual left.
-    The preconditioner is exact on the 2N populations, whose generator
-    block is the Pauli rate matrix of sequential tunnelling (Koch & von
-    Oppen, PRL 94, 206804 (2005)), bordered in the same row and
-    LU-factorised once, and the diagonal (Jacobi) on every coherence.
-    The state is finished by ``_finish``, as that of ``steady_state`` is.
-    Its residual gate is RESIDUAL_RTOL times the largest row sum of the
-    coherent and loss terms, which are known without building rows: a
-    lower bound on the infinity norm of the generator, so the gate is
-    never looser than that of ``steady_state``.
+    memory).  The bordered system, with the same border row, the same gate
+    and the same residual action as in ``steady_state`` (``_bordered_system``),
+    is solved by GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
+    (1986)) to a relative residual of GMRES_RTOL, then once more on the
+    residual left.  The preconditioner is exact on the 2N populations,
+    whose generator block is the Pauli rate matrix of sequential
+    tunnelling (Koch & von Oppen, PRL 94, 206804 (2005)), bordered in the
+    same row and LU-factorised once, and the diagonal (Jacobi) on every
+    coherence.  ``_finish`` ends it, as it ends ``steady_state``.
 
     A decoupled generator (lam == 0: D = I, every Fock population is
     stationary) has an N-dimensional kernel.  Unsolved, with method
@@ -503,40 +517,22 @@ def krylov_steady_state(
     is ill-determined: this solve and the LU agree only to about
     1e-16 / lam^2 there.
     """
-    f = _summed_factors(config, tensors)
+    system = _bordered_system(config, tensors)
+    f, pop, row = system.f, system.pop, system.row
     n = config.system.n_cut
-    nn = n * n
-    pop = np.concatenate([np.arange(n) * (n + 1), nn + np.arange(n) * (n + 1)])  # rho0's, then rho1's
-
-    diag = []  # each block's generator diagonal
-    loss_sums = []  # each block's row sums of |coherent + loss|, [j, m] for row (j, m)
-    for w in (f.w_in, f.w_out):
-        w_d = np.diagonal(w)
-        off = 0.5 * (np.abs(w).sum(axis=0) - np.abs(w_d))  # along one index of a row, off the diagonal
-        block = f.coherent - 0.5 * (w_d[:, None] + w_d[None, :])
-        diag.append(block.reshape(-1))
-        loss_sums.append(off[:, None] + off[None, :] + np.abs(block))
-    diag = np.concatenate(diag)
-    gain_sums = [_gain_row_sums(f.v_out, f.d.T), _gain_row_sums(f.v_in, f.d)]
-    pop_sums = np.concatenate([np.diagonal(loss) + gain for loss, gain in zip(loss_sums, gain_sums)])
-    # Not the row-sum rule of ``steady_state``: at exact symmetry ties the
-    # two rules pick different rows (see there), and the LU keeps its own.
-    border = int(np.argmin(2.0 * np.abs(diag[pop]) - pop_sums))
-    row = int(pop[border])
-    gate = RESIDUAL_RTOL * max(float(loss.max()) for loss in loss_sums)
 
     if config.system.lam == 0.0:
         p1 = f.w_in[0, 0] / (f.w_in[0, 0] + f.w_out[0, 0])
         flat = np.eye(n, dtype=complex).reshape(-1) / n
         x = np.concatenate([(1.0 - p1) * flat, p1 * flat])
-        return _finish(x, n, lambda v: _act(f, v), gate, row, "decoupled")
+        return _finish(x, system, "decoupled")
 
     pauli = np.block([
         [np.diag(-np.diagonal(f.w_in)), f.v_out * f.d.T],
         [f.v_in * f.d, np.diag(-np.diagonal(f.w_out))],
     ])
-    pauli[border] = 1.0  # the trace over all populations
-    jacobi = diag.copy()
+    pauli[system.border] = 1.0  # the trace over all populations
+    jacobi = system.diag.copy()
     jacobi[pop] = 1.0  # overwritten by the population block
 
     def bordered(x: np.ndarray) -> np.ndarray:
@@ -549,14 +545,14 @@ def krylov_steady_state(
         u[pop] = scipy.linalg.lu_solve(lu, v[pop], check_finite=False)
         return u
 
-    rhs = np.zeros(2 * nn, dtype=complex)
+    rhs = np.zeros(2 * n * n, dtype=complex)
     rhs[row] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a singular pivot fails the gates of ``_finish``
         lu = scipy.linalg.lu_factor(pauli, check_finite=False)
         x = _gmres(bordered, precondition, rhs)
         x = x + _gmres(bordered, precondition, rhs - bordered(x))
-    return _finish(x, n, lambda v: _act(f, v), gate, row, "gmres")
+    return _finish(x, system, "gmres")
 
 
 def to_lab_frame(state: BlockDensityMatrix, displacement: np.ndarray) -> BlockDensityMatrix:

@@ -357,18 +357,28 @@ def liouvillian_dense(config, tensors) -> np.ndarray:
     return mat
 
 
-def steady_state_bordered_lu(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int, float]:
+def population_dominance(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, 2|L_ii| - sum_k |L_ik|) over the 2N population rows of the whole matrix."""
+    t_block = np.eye(n).reshape(-1)
+    rows = np.flatnonzero(np.concatenate([t_block, t_block]))
+    return rows, 2.0 * np.abs(mat[rows, rows]) - np.abs(mat[rows]).sum(axis=1)
+
+
+def steady_state_bordered_lu(
+    mat: np.ndarray, n: int, row: int | None = None
+) -> tuple[np.ndarray, np.ndarray, int, float]:
     """(rho0, rho1, bordered row, max|mat x|) of the bordered LU solve on the
-    whole matrix: the least diagonally dominant population row replaced by
-    the trace functional, two refinement passes, Hermitian part, trace
-    one.  The arithmetic ``redfield.steady_state`` must reproduce.
+    whole matrix: ``row`` (by default the least diagonally dominant
+    population row) replaced by the trace functional, two refinement
+    passes, Hermitian part, trace one.  The arithmetic
+    ``redfield.steady_state`` must reproduce.
     """
     nn = n * n
     t_block = np.eye(n).reshape(-1)
     t = np.concatenate([t_block, t_block]).astype(complex)
-    rows = np.flatnonzero(t)
-    dominance = 2.0 * np.abs(mat[rows, rows]) - np.abs(mat[rows]).sum(axis=1)
-    row = int(rows[np.argmin(dominance)])
+    if row is None:
+        rows, dominance = population_dominance(mat, n)
+        row = int(rows[np.argmin(dominance)])
     bordered = mat.copy()
     bordered[row] = t
     rhs = np.zeros(2 * nn, dtype=complex)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from qdmr.redfield import (
     MIN_EIG_FLOOR,
     SteadyStateError,
+    _act,
+    _bordered_system,
     assemble_liouvillian,
     build_tensors,
     krylov_steady_state,
@@ -21,7 +23,7 @@ from qdmr.sweep import evaluate_point
 from qdmr.validation import reference_config, two_state_current
 
 from conftest import ADAPTIVE_EQ_MU, generator_matrix
-from oracles import liouvillian_dense, steady_state_bordered_lu
+from oracles import liouvillian_dense, population_dominance, steady_state_bordered_lu
 
 REL_TOL = 1e-8  # conservation, first law and the lam = 0 current, relative to their flow scale
 SCALE_FLOOR = 1e-6  # rad/ns: flows below this count as zero when scaling a check
@@ -75,7 +77,8 @@ def test_solve_and_report_invariants(mu_tilde, delta_mu, delta_t_mk, lam, n_cut)
 @example(mu_tilde=0.0, delta_mu=-50.0, delta_t_mk=0.0, lam=1.4, n_cut=7)
 def test_rows_and_solve_match_the_dense_oracle(mu_tilde, delta_mu, delta_t_mk, lam, n_cut):
     """The generator's rows and its stationary state are bit for bit those of
-    the dense Kronecker matrix and its bordered LU solve."""
+    the dense Kronecker matrix and its bordered LU solve, bordered at the
+    row the solve picked; that row is the oracle's own or ties with it."""
     config = reference_config(
         mu_tilde=mu_tilde, delta_mu=delta_mu, delta_t_mk=delta_t_mk, lam=lam, n_cut=n_cut
     )
@@ -85,11 +88,20 @@ def test_rows_and_solve_match_the_dense_oracle(mu_tilde, delta_mu, delta_t_mk, l
     assert generator_matrix(liou).tobytes() == dense.tobytes()
     if lam == 0.0:
         return
-    rho0, rho1, row, residual = steady_state_bordered_lu(dense, n_cut)
     state, info = steady_state(config, tensors)
-    assert (info.norm_row, info.residual) == (row, residual)
+    rows, dominance = population_dominance(dense, n_cut)
+    if info.norm_row != rows[np.argmin(dominance)]:
+        # the border rule reads its row sums off the factors, which round
+        # apart from the dense rows' at a tie between two population rows
+        assert info.norm_row in rows
+        tie = dominance[rows == info.norm_row][0] - dominance.min()
+        assert tie <= 8 * np.finfo(float).eps * np.abs(dominance).max()
+    rho0, rho1, _, residual = steady_state_bordered_lu(dense, n_cut, row=info.norm_row)
     assert state.rho0.tobytes() == rho0.tobytes()
     assert state.rho1.tobytes() == rho1.tobytes()
+    system = _bordered_system(config, tensors)
+    assert info.residual == float(np.abs(_act(system.f, np.concatenate([rho0.ravel(), rho1.ravel()]))).max())
+    assert residual <= system.gate
 
 
 PROBE_TOL = 1e-12  # largest entry difference between the matrix-free and the LU state, N <= 12
@@ -122,6 +134,18 @@ def test_matrix_free_solve_matches_the_lu_solve(mu_tilde, delta_mu, delta_t_mk, 
     assert info.method == "gmres"
     assert _max_state_diff(state, lu_state) <= PROBE_TOL
     assert abs(state.trace - 1.0) <= 1e-12
+
+
+# mu_tilde = 0 points where a rho0 and a rho1 population row tie in dominance;
+# a border rule on the built rows picked rows 558, 189 and 64, one on the
+# factors 1458, 589 and 28
+@pytest.mark.parametrize("lam, delta_mu, n_cut", [(0.7, -50.0, 30), (1.05, 0.0, 20), (0.05, 0.0, 6)])
+def test_both_solves_border_one_row_where_populations_tie(lam, delta_mu, n_cut):
+    (state, info), (lu_state, lu_info) = _both_solves(
+        reference_config(mu_tilde=0.0, delta_mu=delta_mu, lam=lam, n_cut=n_cut)
+    )
+    assert info.norm_row == lu_info.norm_row
+    assert _max_state_diff(state, lu_state) <= PROBE_TOL
 
 
 @pytest.mark.parametrize("mu_tilde", ADAPTIVE_EQ_MU)

@@ -12,8 +12,8 @@ from qdmr.redfield import (
     FrameError,
     SteadyStateError,
     _act,
+    _bordered_system,
     _row_blocks,
-    _summed_factors,
     assemble_liouvillian,
     build_tensors,
     krylov_steady_state,
@@ -214,7 +214,7 @@ class TestMatrixFreeAction:
         tensors = build_tensors(config)
         rng = np.random.default_rng(n_cut)
         x = rng.standard_normal(2 * n_cut**2) + 1j * rng.standard_normal(2 * n_cut**2)
-        y = _act(_summed_factors(config, tensors), x)
+        y = _act(_bordered_system(config, tensors).f, x)
         rows = generator_matrix(assemble_liouvillian(config, tensors)) @ x
         dense = liouvillian_dense(config, tensors) @ x
         for ref in (rows, dense):
@@ -233,7 +233,7 @@ class TestMatrixFreeAction:
         p1 = gamma_in / (gamma_in + gamma_out)
         flat = np.eye(n_cut, dtype=complex).reshape(-1) / n_cut
         x = np.concatenate([(1.0 - p1) * flat, p1 * flat])
-        expected, _ = redfield._finish(x, n_cut, lambda v: np.zeros(1), 0.0, info.norm_row, "decoupled")
+        expected, _ = redfield._finish(x, _bordered_system(config, tensors), "decoupled")
         assert state.rho0.tobytes() == expected.rho0.tobytes()
         assert state.rho1.tobytes() == expected.rho1.tobytes()
 
@@ -307,6 +307,22 @@ class TestSteadyState:
         ]
         expected = (g[0] * f[0] + g[1] * f[1]) / (g[0] + g[1])
         assert state.occupation == pytest.approx(expected, rel=1e-10)
+
+    def test_rows_are_built_by_the_fill_and_the_two_refinements_only(self, monkeypatch):
+        passes = []
+        row_blocks = redfield._row_blocks
+
+        def counted(liou):
+            passes.append(liou.n_cut)
+            return row_blocks(liou)
+
+        monkeypatch.setattr(redfield, "_row_blocks", counted)
+        config = make_config(n_cut=6)
+        steady_state(config, build_tensors(config))
+        assert passes == [6, 6, 6]
+        passes.clear()
+        evaluate_point(config, ())
+        assert passes == []
 
     def test_solve_holds_one_generator_copy(self):
         n = 30
