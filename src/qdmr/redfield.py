@@ -3,9 +3,8 @@
 The state splits into two Fock-space blocks, rho0 (dot empty) and rho1
 (dot occupied); coherences between the two charge sectors decouple from
 the dynamics and are not represented.  Each lead contributes four
-transition tensors; they are never materialized at rank 4, nor as
-N^2 x N^2 superoperator blocks.  The generator keeps the factor matrices
-below and builds its rows from them when a solve needs them:
+transition tensors, kept as the factor matrices below; they are never
+materialized at rank 4, nor as N^2 x N^2 superoperator blocks:
 
     W_in[a, b]  = sum_i rate_in(eps[a, i]) D[i, a] D[i, b]
     W_out[a, b] = sum_i rate_out(eps[i, a]) D[a, i] D[b, i]
@@ -31,9 +30,9 @@ differ only in how they solve the bordered system.  ``krylov_steady_state``, the
 ``sweep.evaluate_point`` reports, applies the block actions above with the
 factors summed over the leads (12 N x N matrix products, O(N^3) time and
 O(N^2) memory) and solves by preconditioned GMRES.  ``steady_state`` builds
-the generator's rows (``assemble_liouvillian``) and factorises them by LU,
-O(N^6) time; it reports where GMRES fails its gates (0 < lam <~ 1e-7) and
-confirms the rung that the adaptive cutoff ladder accepts.
+the generator's rows from the leads' factors and factorises them by LU,
+O(N^6) time and one dense copy; it reports where GMRES fails its gates
+(0 < lam <~ 1e-7) and confirms the rung that the adaptive ladder accepts.
 """
 
 from __future__ import annotations
@@ -161,21 +160,13 @@ def build_tensors(config: ModelConfig) -> tuple[RedfieldTensors, RedfieldTensors
     return tensors[0], tensors[1]
 
 
-@dataclass(frozen=True)
-class Liouvillian:
-    """Generator on the stacked vector [vec(rho0); vec(rho1)], kept in factored form.
+class Liouvillian(NamedTuple):
+    """Generator on the stacked vector [vec(rho0); vec(rho1)]: references to
+    the leads' tensors and O(N^2) of its own.  Row-major vectorization:
+    element (j, m) of a block sits at j*N + m.  The dense 2N^2 x 2N^2
+    matrix is never stored; ``_row_blocks`` builds it N rows at a time."""
 
-    Row-major vectorization: element (j, m) of a block sits at j*N + m.
-    The dense 2N^2 x 2N^2 complex matrix is never stored; ``_row_blocks``
-    builds it N rows at a time, the rows (j, m), m < N, of one block and
-    Fock index j.  Held instead, all O(N^3): each
-    gain block's factors with their N x N^2 tiles (see ``_GainFactors``),
-    the lead-summed loss on the only columns where it can be nonzero (see
-    ``_loss_lines``), and the coherent diagonal.
-    """
-
-    gain: tuple[_GainFactors, _GainFactors]  # into rho0 from rho1, into rho1 from rho0
-    loss: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # _loss_lines of w_in^T, of w_out^T
+    tensors: tuple[RedfieldTensors, ...]  # sharing one displacement matrix D
     coherent: np.ndarray  # -i omega (j - m) at [j, m]
     n_cut: int
 
@@ -193,102 +184,65 @@ def _coherent(config: ModelConfig) -> np.ndarray:
     return -1j * config.system.omega * (jm[:, None] - jm[None, :])
 
 
-class _GainFactors(NamedTuple):
-    """One gain block's factors: the lead-side a of each lead, stacked, the
-    D-side b that every lead shares, and their tiles tile(x)[m] = np.tile(x[m], N).
-
-    Row (j, m) of kron(a, b) + kron(b, a) is then
-    repeat(a[j], N) * tile(b)[m] + repeat(b[j], N) * tile(a)[m].
-    """
-
-    a: np.ndarray  # (leads, N, N)
-    b: np.ndarray  # (N, N)
-    tile_a: np.ndarray  # (leads, N, N^2)
-    tile_b: np.ndarray  # (N, N^2)
-
-
-def _gain_factors(leads_a: list[np.ndarray], b: np.ndarray) -> _GainFactors:
-    n = b.shape[0]
-    a = np.stack(leads_a)
-    return _GainFactors(a, b, np.tile(a, n), np.tile(b, n))
-
-
-def _loss_lines(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Loss block -sum_A (kron(A, I) + kron(I, A)) / 2 over the leads' factors A
-    (w_in^T or w_out^T), on each row (j, m) at the columns (a, m) and (j, b)
-    for every a and b: (along_a, along_b), each indexed [j, m, a] or [j, m, b].
-
-    Only there can the block be nonzero; elsewhere every lead adds a signed
-    zero to an accumulator that starts at +0.0, which the negation makes
-    -0.0.  The products and sums are those of the Kronecker assembly,
-    element by element and in the same order, so the values are its own.
-    """
-    n = factors[0].shape[0]
-    eye = np.eye(n)
-    along_a = np.zeros((n, n, n))
-    along_b = np.zeros((n, n, n))
-    for a in factors:  # the products with I[m, m] = 1 and I[j, j] = 1 are a itself
-        d = np.diagonal(a)
-        along_a += 0.5 * (a[:, None, :] + eye[:, None, :] * d[None, :, None])
-        along_b += 0.5 * (d[:, None, None] * eye[None, :, :] + a[None, :, :])
-    return -along_a, -along_b
-
-
-def assemble_liouvillian(
-    config: ModelConfig, tensors: tuple[RedfieldTensors, ...]
-) -> Liouvillian:
-    """Factored generator of coherent evolution and all leads' tensors.
-
-    Each gain block, the sum over leads of (kron(a, b) + kron(b, a)) / 2,
-    is kept as the leads' factors a, the one D-side factor b (D^T into rho0,
-    D into rho1) and their tiles: 48 N^3 bytes for the two, where the
-    blocks themselves would take 16 N^4.  The leads' tensors must share D,
-    as those of ``build_tensors`` do.
-    """
-    d = tensors[0].displacement
-    gain = (
-        _gain_factors([t.v_out for t in tensors], d.T),
-        _gain_factors([t.v_in for t in tensors], d),
-    )
-    loss = (_loss_lines([t.w_in.T for t in tensors]), _loss_lines([t.w_out.T for t in tensors]))
-    return Liouvillian(gain=gain, loss=loss, coherent=_coherent(config), n_cut=config.system.n_cut)
+def assemble_liouvillian(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) -> Liouvillian:
+    """Generator of coherent evolution and all leads' tensors, which must
+    share D, as those of ``build_tensors`` do."""
+    return Liouvillian(tuple(tensors), _coherent(config), config.system.n_cut)
 
 
 def _row_blocks(liou: Liouvillian) -> Iterator[tuple[int, np.ndarray]]:
     """All 2N^2 generator rows as (start, rows), one run per block and Fock
     index j: the N rows (j, m), m < N, at start = half*N^2 + j*N, for rho0
-    (half 0) and then rho1 (half 1).
+    (half 0) and then rho1 (half 1), built from the leads' tensors.
+
+    A gain block sums (kron(a, b) + kron(b, a)) / 2 over the leads, with the
+    lead's a (v_out into rho0, v_in into rho1) and the shared b (D^T, D):
+    row (j, m) is repeat(a[j], N) * tile(b)[m] + repeat(b[j], N) * tile(a)[m],
+    with tile(x)[m] = np.tile(x[m], N), and a pass tiles each half's factors
+    once.  A loss block, -sum (kron(A, I) + kron(I, A)) / 2 over the leads'
+    A = w_in^T or w_out^T, can be nonzero on row (j, m) only at the columns
+    (a, m) and (j, b); elsewhere every lead adds a signed zero to an
+    accumulator that starts at +0.0, which the negation makes -0.0.
 
     ``ModelConfig`` requires N >= 2, so every run has at least two rows; a
     one-row product rounds differently from the same row inside a matrix
     product.  Each run is written into one buffer, valid until the next is
-    drawn, and is bit for bit the matrix of the Kronecker assembly: its loss
-    block is -0.0 off the two loss lines, each gain entry has the bits of
-    the same products summed in the same order, and the coherent diagonal
-    is added last.
+    drawn, and is bit for bit the matrix of the Kronecker assembly: the
+    same products summed in the same order, the coherent diagonal added last.
     """
     n = liou.n_cut
     nn = n * n
     dim = 2 * nn
+    eye = np.eye(n)
+    d = liou.tensors[0].displacement
     rows = np.empty((n, dim), dtype=complex)
     flat = rows.reshape(-1)
-    for half, ((along_a, along_b), factors) in enumerate(zip(liou.loss, liou.gain)):
+    halves = (
+        ([t.w_in.T for t in liou.tensors], [t.v_out for t in liou.tensors], d.T),
+        ([t.w_out.T for t in liou.tensors], [t.v_in for t in liou.tensors], d),
+    )
+    for half, (loss, gain_a, b) in enumerate(halves):
         own = rows[:, half * nn : (half + 1) * nn]
         gain = rows[:, (1 - half) * nn : (2 - half) * nn]
-        # [m, column's first index, column's second index]
-        own3 = own.real.reshape(n, n, n)
+        own3 = own.real.reshape(n, n, n)  # [m, column's first index, column's second index]
         at_a_m = np.einsum("mam->ma", own3)  # the columns (a, m) of row (j, m)
+        tile_a = [np.tile(a, n) for a in gain_a]
+        tile_b = np.tile(b, n)
         for j in range(n):
             start = half * nn + j * n
+            along_a = along_b = acc = 0.0  # the assembly's start; then each lead's term, in lead order
+            for w in loss:  # the products with I[m, m] = 1 and I[j, j] = 1 are w itself
+                w_d = np.diagonal(w)
+                along_a = along_a + 0.5 * (w[j] + eye[j] * w_d[:, None])  # [m, a]
+                along_b = along_b + 0.5 * (w_d[j] * eye + w)  # [m, b]
             own[:] = -0.0
-            at_a_m[...] = along_a[j]
-            own3[:, j] = along_b[j]  # the columns (j, b)
+            at_a_m[...] = -along_a
+            own3[:, j] = -along_b  # the columns (j, b)
             flat[start :: dim + 1] += liou.coherent[j]
-            b_j = factors.b[j].repeat(n)
-            acc = 0.0  # the assembly's start; then each lead's term, in lead order
-            for a, tile_a in zip(factors.a, factors.tile_a):
-                term = a[j].repeat(n) * factors.tile_b
-                term += b_j * tile_a
+            b_j = b[j].repeat(n)
+            for a, tile in zip(gain_a, tile_a):
+                term = a[j].repeat(n) * tile_b
+                term += b_j * tile
                 term *= 0.5
                 acc = acc + term
             gain[...] = acc
@@ -315,17 +269,15 @@ class SteadyStateInfo:
     min_eig: tuple[float, float]
 
 
-def steady_state(
-    config: ModelConfig, tensors: tuple[RedfieldTensors, ...]
-) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
+def steady_state(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
     """Trace-one kernel vector of the generator, by a bordered LU on its rows.
 
-    The rows come from ``assemble_liouvillian``; the border row, the gate
-    and the residual action are those of ``krylov_steady_state``
-    (``_bordered_system``).  One pass over the rows fills a
-    Fortran-order buffer that LAPACK factorises in place, so the solve
-    holds one generator-sized array; the two refinement products build the
-    rows again.  ``_finish`` ends it.  A decoupled generator (lam == 0) is refused.
+    The rows come from the leads' tensors (``_row_blocks``); the border row,
+    the gate and the residual action are those of ``krylov_steady_state``
+    (``_bordered_system``).  One pass over the rows fills a Fortran-order
+    buffer that LAPACK factorises in place, so the solve holds one dense
+    copy of the generator and O(N^3) per pass; the two refinement products
+    build the rows again.  ``_finish`` ends it.  A decoupled generator (lam == 0) is refused.
     """
     if config.system.lam == 0.0:
         raise ValueError("a decoupled generator (lam = 0) has no unique stationary state; use krylov_steady_state")
@@ -357,8 +309,11 @@ def _finish(x: np.ndarray, system: _BorderedSystem, method: str) -> tuple[BlockD
     max|_act(state)| must not exceed ``system.gate``.  A state whose
     smallest block eigenvalue lies below ``MIN_EIG_FLOOR`` raises too: a
     numerically degenerate generator (0 < lam <= 1e-8) passes the residual
-    gate with a state far from positive.
+    gate with a state far from positive.  A raw vector that is not finite
+    raises before any arithmetic.
     """
+    if not np.isfinite(x).all():
+        raise SteadyStateError(f"the {method} solve's raw vector is not finite")
     n = system.f.d.shape[0]
     nn = n * n
     rho0 = x[:nn].reshape(n, n)
@@ -372,10 +327,7 @@ def _finish(x: np.ndarray, system: _BorderedSystem, method: str) -> tuple[BlockD
     residual = float(np.abs(_act(system.f, np.concatenate([rho0.reshape(-1), rho1.reshape(-1)]))).max())
     if not residual <= system.gate:
         raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {system.gate:.3e}")
-    min_eig = (
-        float(np.linalg.eigvalsh(rho0)[0]),
-        float(np.linalg.eigvalsh(rho1)[0]),
-    )
+    min_eig = (float(np.linalg.eigvalsh(rho0)[0]), float(np.linalg.eigvalsh(rho1)[0]))
     if not min(min_eig) >= MIN_EIG_FLOOR:
         raise SteadyStateError(
             f"stationary state is not positive: smallest block eigenvalue "
@@ -482,13 +434,13 @@ def _gmres(matvec, precondition, rhs: np.ndarray) -> np.ndarray:
             hess[:k, k - 1] += c
         hess[k, k - 1] = np.linalg.norm(w)
         if not np.isfinite(hess[k, k - 1]):
-            break
+            raise SteadyStateError(f"GMRES Arnoldi vector {k} is not finite")
         h, b = hess[: k + 1, :k], e1[: k + 1]
         y = np.linalg.lstsq(h, b, rcond=None)[0]
         if np.linalg.norm(h @ y - b) <= GMRES_RTOL * beta:
             return precondition(y @ basis[:k])
         basis[k] = w / hess[k, k - 1]
-    raise SteadyStateError(f"GMRES did not reach relative residual {GMRES_RTOL:.0e} in {k} iterations")
+    raise SteadyStateError(f"GMRES did not reach relative residual {GMRES_RTOL:.0e} in {GMRES_MAX_ITER} iterations")
 
 
 def krylov_steady_state(

@@ -23,7 +23,7 @@ from qdmr.redfield import (
 
 from qdmr.sweep import evaluate_point
 
-from conftest import generator_matrix, make_config
+from conftest import ADAPTIVE_EQ_MU, generator_matrix, make_config
 from oracles import (
     fermi_ref,
     liouvillian_dense,
@@ -47,8 +47,8 @@ def _random_hermitian_pair(n, seed):
 
 
 def _held_arrays(liou):
-    """Every array the generator holds."""
-    return [*liou.gain[0], *liou.gain[1], *liou.loss[0], *liou.loss[1], liou.coherent]
+    """Every array the generator holds: the leads' tensors' and its coherent part."""
+    return [a for t in liou.tensors for a in vars(t).values()] + [liou.coherent]
 
 
 def _apply(liou, rho0, rho1):
@@ -156,13 +156,16 @@ class TestLiouvillian:
 
     @pytest.mark.parametrize("n_cut", [12, 20, 40])
     def test_generator_holds_no_n4_arrays(self, n_cut):
-        # the factors, their N x N^2 tiles and the loss lines: O(N^3) bytes,
-        # where one lead-summed N^2 x N^2 gain block alone takes 8 N^4
+        # references to the leads' tensors (80 N^2 bytes, counting the shared
+        # D twice) and the coherent part (16 N^2) of its own, where one
+        # lead-summed N^2 x N^2 gain block alone takes 8 N^4
         config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
-        liou = assemble_liouvillian(
-            config, build_tensors(config)
-        )
-        assert sum(a.nbytes for a in _held_arrays(liou)) <= 200 * n_cut**3
+        tensors = build_tensors(config)
+        liou = assemble_liouvillian(config, tensors)
+        assert liou._fields == ("tensors", "coherent", "n_cut")
+        assert all(held is given for held, given in zip(liou.tensors, tensors, strict=True))
+        assert liou.coherent.nbytes == 16 * n_cut**2
+        assert sum(a.nbytes for a in _held_arrays(liou)) <= 100 * n_cut**2
 
     @pytest.mark.parametrize("n_cut", [2, 7, 12])
     def test_each_run_is_the_n_rows_of_one_block_and_fock_index(self, n_cut):
@@ -177,11 +180,17 @@ class TestLiouvillian:
         assert buffer.shape == (n, 2 * n * n)
         assert all(rows is buffer for _, rows in runs)
 
-    def test_tiny_coupling_scales_the_sums_and_matches_the_dense_oracle(self):
+    @pytest.mark.parametrize(
+        "lam, mu_tilde, delta_mu",
+        [(1e-10, 0.0, -50.0), (0.7, ADAPTIVE_EQ_MU[3], 0.0), (1.4, 0.0, -50.0)],
+        ids=["lam_1e-10", "adaptive_eq", "lam_1.4"],
+    )
+    def test_tiny_coupling_scales_the_sums_and_matches_the_dense_oracle(self, lam, mu_tilde, delta_mu):
         # lam = 1e-10 leaves gain products deep in the subnormal range,
         # where the scaling of each lead's sum by 0.5 rounds: the rows
-        # match only if they halve that sum, as the Kronecker assembly does
-        config = make_config(lam=1e-10, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
+        # match only if they halve that sum, as the Kronecker assembly does;
+        # the adaptive ladder's LU confirm reads the rows at the other two
+        config = make_config(lam=lam, mu_tilde=mu_tilde, delta_mu=delta_mu, n_cut=20)
         tensors = build_tensors(config)
         liou = assemble_liouvillian(config, tensors)
         assert generator_matrix(liou).tobytes() == liouvillian_dense(config, tensors).tobytes()
@@ -308,6 +317,19 @@ class TestSteadyState:
         expected = (g[0] * f[0] + g[1] * f[1]) / (g[0] + g[1])
         assert state.occupation == pytest.approx(expected, rel=1e-10)
 
+    def test_a_non_finite_raw_vector_raises_before_the_finish_divides(self):
+        # at lam = 30 D is below 1e-174, every rate is zero and the LU's raw
+        # vector is NaN; dividing it by its trace would warn, then fail the gate on nan
+        config = make_config(lam=30.0, n_cut=10)
+        with pytest.raises(SteadyStateError, match="the lu solve's raw vector is not finite"):
+            steady_state(config, build_tensors(config))
+
+    def test_gmres_names_a_non_finite_arnoldi_vector(self):
+        # at the same point the singular Pauli preconditioner gives NaN
+        config = make_config(lam=30.0, n_cut=10)
+        with pytest.raises(SteadyStateError, match="GMRES Arnoldi vector 1 is not finite"):
+            krylov_steady_state(config, build_tensors(config))
+
     def test_rows_are_built_by_the_fill_and_the_two_refinements_only(self, monkeypatch):
         passes = []
         row_blocks = redfield._row_blocks
@@ -357,11 +379,9 @@ class TestSteadyState:
         assert peak - before <= 1.5 * 16 * 2 * n * n * (redfield.GMRES_MAX_ITER + 1)
 
     @pytest.mark.parametrize("n_cut", [12, 20])
-    def test_solve_holds_one_generator_copy_beyond_the_matrix(self, n_cut, monkeypatch):
+    def test_solve_holds_one_generator_copy_beyond_the_matrix(self, n_cut):
         config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n_cut)
         tensors = build_tensors(config)
-        liou = assemble_liouvillian(config, tensors)
-        monkeypatch.setattr(redfield, "assemble_liouvillian", lambda *args: liou)  # built before tracing
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -369,11 +389,11 @@ class TestSteadyState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # beyond the factored generator: the buffer LAPACK factorises in
-        # place (one dense copy) and O(N^3) for one run of N rows with its
-        # temporaries (measured: 78 N^3 bytes at N = 20, 92 N^3 at N = 12);
-        # a run held over from the pass before would pass 100 N^3 at both
-        assert peak - before <= 16 * (2 * n_cut * n_cut) ** 2 + 100 * n_cut**3
+        # the buffer LAPACK factorises in place (one dense copy) and O(N^3)
+        # per pass: one half's tiles and one run of N rows with its
+        # temporaries (measured: 101 N^3 bytes at N = 20, 116 N^3 at N = 12);
+        # a run held over from the pass before, 32 N^3 more, would pass 120 N^3 at both
+        assert peak - before <= 16 * (2 * n_cut * n_cut) ** 2 + 120 * n_cut**3
 
     @pytest.mark.parametrize(
         "lam, solve_fails, error",
@@ -381,8 +401,8 @@ class TestSteadyState:
         ids=["returns", "gate_raises", "solver_raises"],  # lam = 1e-10 fails the positivity gate
     )
     def test_matrix_is_restored(self, lam, solve_fails, error, monkeypatch):
-        # the generator's arrays, and so every row it builds, are the same
-        # after a solve that returns or raises
+        # the generator's arrays, the leads' tensors and its coherent part,
+        # and so every row it builds, are the same after a solve that returns or raises
         config = make_config(lam=lam, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)
         tensors = build_tensors(config)
         liou = assemble_liouvillian(config, tensors)
