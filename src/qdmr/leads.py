@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .model import LeadParams
 
@@ -127,6 +126,7 @@ def bath_correlation(lead: LeadParams) -> CorrelationTrace:
     series.imag[1:] = np.bincount(rows, decay * window.imag[poles], s.size)
     # window(mu - i*nu) = g*d/(2h) * sum(sign / (k + z)) over z1,2 = 1/2 + (+/-d + i(mu - c))/h
     z = 0.5 + (np.array([d, -d]) + 1j * (mu - c)) / h
+    from scipy.special import digamma  # here, so that importing qdmr loads no SciPy
     series[0] = 0.5 * g * d / h * (digamma(z[1]) - digamma(z[0]))
     matsubara = 0.5j * h / np.pi * np.exp(-1j * mu * times) * series
 

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .leads import rate_in, rate_out
 from .model import ModelConfig
@@ -279,6 +278,8 @@ def steady_state(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) -> t
     copy of the generator and O(N^3) per pass; the two refinement products
     build the rows again.  ``_finish`` ends it.  A decoupled generator (lam == 0) is refused.
     """
+    import scipy.linalg  # here only, so that a point that GMRES solves loads no SciPy
+
     if config.system.lam == 0.0:
         raise ValueError("a decoupled generator (lam = 0) has no unique stationary state; use krylov_steady_state")
     system = _bordered_system(config, tensors)
@@ -456,8 +457,9 @@ def krylov_steady_state(
     residual left.  The preconditioner is exact on the 2N populations,
     whose generator block is the Pauli rate matrix of sequential
     tunnelling (Koch & von Oppen, PRL 94, 206804 (2005)), bordered in the
-    same row and LU-factorised once, and the diagonal (Jacobi) on every
-    coherence.  ``_finish`` ends it, as it ends ``steady_state``.
+    same row and inverted once (a singular block raises ``SteadyStateError``),
+    and the diagonal (Jacobi) on every coherence.  ``_finish`` ends it, as it
+    ends ``steady_state``.
 
     A decoupled generator (lam == 0: D = I, every Fock population is
     stationary) has an N-dimensional kernel.  Unsolved, with method
@@ -484,6 +486,10 @@ def krylov_steady_state(
         [f.v_in * f.d, np.diag(-np.diagonal(f.w_out))],
     ])
     pauli[system.border] = 1.0  # the trace over all populations
+    try:
+        pauli_inv = np.linalg.inv(pauli)
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError("the bordered Pauli block is singular") from exc
     jacobi = system.diag.copy()
     jacobi[pop] = 1.0  # overwritten by the population block
 
@@ -494,14 +500,13 @@ def krylov_steady_state(
 
     def precondition(v: np.ndarray) -> np.ndarray:
         u = v / jacobi
-        u[pop] = scipy.linalg.lu_solve(lu, v[pop], check_finite=False)
+        u[pop] = pauli_inv @ v[pop]
         return u
 
     rhs = np.zeros(2 * n * n, dtype=complex)
     rhs[row] = 1.0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a singular pivot fails the gates of ``_finish``
-        lu = scipy.linalg.lu_factor(pauli, check_finite=False)
+        warnings.simplefilter("ignore")  # a non-finite vector fails ``_gmres`` or the gates of ``_finish``
         x = _gmres(bordered, precondition, rhs)
         x = x + _gmres(bordered, precondition, rhs - bordered(x))
     return _finish(x, system, "gmres")

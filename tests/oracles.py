@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm, lu_factor, lu_solve
-from scipy.special import digamma, exp1, gammaln
+from scipy.special import digamma, eval_genlaguerre, exp1, gammaln
 
 from qdmr import redfield, sweep
 
@@ -37,6 +37,20 @@ def displacement_expm(lam: float, n_cut: int, pad: int = 40) -> np.ndarray:
     b = ladder(n)
     d = expm(lam * (b.T - b))
     return d[:n_cut, :n_cut]
+
+
+def displacement_special(lam: float, n_cut: int) -> np.ndarray:
+    """The closed-form elements of ``displacement_expm`` from ``scipy.special``:
+    sqrt(lo!/hi!) lam^diff exp(-lam^2/2) L_lo^(diff)(lam^2), sign (-1)^diff above
+    the diagonal, with lo = min(k, l) and diff = |k - l|."""
+    if lam < 0.0:
+        return displacement_special(-lam, n_cut).T
+    k, l = np.indices((n_cut, n_cut))
+    lo = np.minimum(k, l)
+    diff = np.abs(k - l)
+    log_mag = 0.5 * (gammaln(lo + 1) - gammaln(lo + diff + 1)) + diff * np.log(lam) - 0.5 * lam * lam
+    sign = np.where((k < l) & (diff % 2 == 1), -1.0, 1.0)
+    return sign * np.exp(log_mag) * eval_genlaguerre(lo, diff, lam * lam)
 
 
 def coherent_vector(beta: complex, n_cut: int) -> np.ndarray:

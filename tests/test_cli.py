@@ -539,3 +539,41 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["passed"] is True
+
+
+class TestStartsWithoutScipy:
+    """A fresh interpreter that imports qdmr, runs a point or evaluates a sweep
+    task loads no SciPy module: SciPy is imported only by the dense LU, the
+    adaptive ladder's confirm and the bath correlator's s = 0 term."""
+
+    @staticmethod
+    def _scipy_modules(code: str, *args: str) -> list[str]:
+        src = str(Path(qdmr.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        report = "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, sys\n" + code + report, *args],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import(self):
+        assert self._scipy_modules("import qdmr, qdmr.cli") == []
+
+    def test_point(self, ini, tmp_path):
+        code = "from qdmr.cli import main\nassert main(['point', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0"
+        assert self._scipy_modules(code, ini, str(tmp_path / "point.txt")) == []
+
+    def test_sweep_tasks_at_and_off_zero_coupling(self, ini):
+        code = (
+            "from qdmr import sweep\n"
+            "from qdmr.configfile import SweepAxis, SweepSpec, load_config\n"
+            "config = load_config(sys.argv[1])[0]\n"
+            "spec = SweepSpec(axis1=SweepAxis('lam', 0.7, 0.0, 2))\n"
+            "for index, assignment in spec.points():\n"
+            "    row = sweep._evaluate_task((index, config, assignment, spec))[1]\n"
+            "    assert (row['lam'], row['status']) == ((0.7, 'ok'), (0.0, 'degenerate'))[index], row\n"
+        )
+        assert self._scipy_modules(code, ini) == []

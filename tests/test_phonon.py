@@ -5,7 +5,10 @@ import pytest
 
 from qdmr.phonon import coherent_overlap, displacement_matrix
 
-from oracles import coherent_vector, displacement_expm
+from oracles import coherent_vector, displacement_expm, displacement_special
+
+# from the smallest couplings a point may take to past the self-oscillation window
+SPECIAL_LAMS = [1e-10, 1e-7, 1e-3, 0.05, 0.35, 0.69, 0.7, 1.4, 3.0, -0.7]
 
 
 class TestDisplacementMatrix:
@@ -34,6 +37,22 @@ class TestDisplacementMatrix:
         d = displacement_matrix(0.7, 30)
         gram = d.T @ d
         np.testing.assert_allclose(gram[:15, :15], np.eye(15), atol=1e-10)
+
+    @pytest.mark.parametrize("lam", SPECIAL_LAMS)
+    def test_bit_for_bit_scipy_special_up_to_n_40(self, lam):
+        # log(k!), binom(lo + diff, lo) and the Laguerre recurrence follow the
+        # arithmetic of SciPy's gammaln, binom and integer-order eval_genlaguerre
+        for n in range(1, 41):
+            assert displacement_matrix(lam, n).tobytes() == displacement_special(lam, n).tobytes(), n
+
+    @pytest.mark.parametrize("lam", SPECIAL_LAMS)
+    def test_within_2e_15_of_scipy_special_beyond_n_40(self, lam):
+        # there SciPy's binom reaches min(lo, diff) >= 20 and takes a beta function
+        for n in range(41, 81):
+            ours, ref = displacement_matrix(lam, n), displacement_special(lam, n)
+            nonzero = ref != 0.0
+            assert np.array_equal(ours == 0.0, ~nonzero)
+            assert np.max(np.abs(ours[nonzero] - ref[nonzero]) / np.abs(ref[nonzero])) <= 2e-15, n
 
     def test_rejects_empty_space(self):
         with pytest.raises(ValueError):
