@@ -20,6 +20,8 @@ matrix.  The block actions are
     gain into rho0: (V_out rho1 D + D^T rho1 V_out^T) / 2
 
 plus the coherent part -i*omega*(j - m) on each block's element (j, m).
+The factors are real and the blocks Hermitian, so the matrix-free action
+``_act`` works on the real coordinates M = Re X + Im X of each block X.
 
 There are two stationary solves, with one contract: each takes
 ``(config, tensors)``, solves one bordered system (``_bordered_system``:
@@ -28,8 +30,8 @@ the lead-summed factors) and hands its raw solution to one finish
 (Hermitian part, trace one, the residual and positivity gates).  They
 differ only in how they solve the bordered system.  ``krylov_steady_state``, the one
 ``sweep.evaluate_point`` reports, applies the block actions above with the
-factors summed over the leads (12 N x N matrix products, O(N^3) time and
-O(N^2) memory) and solves by preconditioned GMRES.  ``steady_state`` builds
+factors summed over the leads (12 real N x N matrix products, O(N^3) time
+and O(N^2) memory) and solves by preconditioned GMRES in float64.  ``steady_state`` builds
 the generator's rows from the leads' factors and factorises them by LU,
 O(N^6) time and one dense copy; it reports where GMRES fails its gates
 (0 < lam <~ 1e-7) and confirms the rung that the adaptive ladder accepts.
@@ -53,7 +55,9 @@ from .phonon import displacement_matrix
 MIN_EIG_FLOOR = -1e-8  # smallest block eigenvalue a stationary state may have
 RESIDUAL_RTOL = 1e-8  # largest max|L x| of a stationary state x, relative to the infinity norm of L
 GMRES_RTOL = 1e-12  # relative residual at which each GMRES pass of ``krylov_steady_state`` stops
-GMRES_MAX_ITER = 100  # iterations after which it gives up; a pass took 1 to 17 at the points measured, N = 20 to 80
+# iterations after which a pass gives up; a pass took 1 to 17 at the points measured, N = 20 to 80;
+# the basis holds GMRES_MAX_ITER + 1 real vectors of 2 N^2
+GMRES_MAX_ITER = 100
 
 
 class SteadyStateError(RuntimeError):
@@ -305,13 +309,15 @@ def steady_state(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) -> t
 
 
 def _finish(x: np.ndarray, system: _BorderedSystem, method: str) -> tuple[BlockDensityMatrix, SteadyStateInfo]:
-    """The reported state from a solve's raw kernel vector ``x``: each block's
-    Hermitian part, scaled to trace one, then two gates.  The residual
-    max|_act(state)| must not exceed ``system.gate``.  A state whose
-    smallest block eigenvalue lies below ``MIN_EIG_FLOOR`` raises too: a
-    numerically degenerate generator (0 < lam <= 1e-8) passes the residual
-    gate with a state far from positive.  A raw vector that is not finite
-    raises before any arithmetic.
+    """The reported state from a solve's raw kernel vector ``x``: Hermitian
+    blocks, scaled to trace one, then two gates.  A complex ``x`` (the LU's)
+    gives each block's Hermitian part; a real one holds the coordinates M of
+    ``_act``, mapped back by X = (M + M^T)/2 + i(M - M^T)/2.  The residual
+    max|_act(state)|, on M = Re X + Im X, must not exceed ``system.gate``.  A
+    state whose smallest block eigenvalue lies below ``MIN_EIG_FLOOR`` raises
+    too: a numerically degenerate generator (0 < lam <= 1e-8) passes the
+    residual gate with a state far from positive.  A raw vector that is not
+    finite raises before any arithmetic.
     """
     if not np.isfinite(x).all():
         raise SteadyStateError(f"the {method} solve's raw vector is not finite")
@@ -319,13 +325,18 @@ def _finish(x: np.ndarray, system: _BorderedSystem, method: str) -> tuple[BlockD
     nn = n * n
     rho0 = x[:nn].reshape(n, n)
     rho1 = x[nn:].reshape(n, n)
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
-    rho1 = 0.5 * (rho1 + rho1.conj().T)
+    if np.iscomplexobj(x):
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
+        rho1 = 0.5 * (rho1 + rho1.conj().T)
+    else:
+        rho0 = 0.5 * (rho0 + rho0.T) + 0.5j * (rho0 - rho0.T)
+        rho1 = 0.5 * (rho1 + rho1.T) + 0.5j * (rho1 - rho1.T)
     tr = float(np.trace(rho0).real + np.trace(rho1).real)
     rho0 = rho0 / tr
     rho1 = rho1 / tr
 
-    residual = float(np.abs(_act(system.f, np.concatenate([rho0.reshape(-1), rho1.reshape(-1)]))).max())
+    coords = np.concatenate([(rho0.real + rho0.imag).reshape(-1), (rho1.real + rho1.imag).reshape(-1)])
+    residual = float(np.abs(_act(system.f, coords)).max())
     if not residual <= system.gate:
         raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {system.gate:.3e}")
     min_eig = (float(np.linalg.eigvalsh(rho0)[0]), float(np.linalg.eigvalsh(rho1)[0]))
@@ -351,12 +362,19 @@ class _SummedFactors(NamedTuple):
 
 
 def _act(f: _SummedFactors, x: np.ndarray) -> np.ndarray:
-    """Generator times the stacked vector ``x``: 12 N x N matrix products."""
+    """Generator times the stacked real coordinates ``x``: 12 real N x N products.
+
+    A Hermitian block X = S + iA (S symmetric, A antisymmetric) has the
+    coordinates M = S + A = Re X + Im X, an isometry with the inverse
+    X = (M + M^T)/2 + i(M - M^T)/2.  The factors are real, so each of their
+    products acts on M as on X, and the coherent part i*K∘X becomes K∘M^T.
+    """
     n = f.d.shape[0]
-    r0 = x[: n * n].reshape(n, n)
-    r1 = x[n * n :].reshape(n, n)
-    y0 = f.coherent * r0 - 0.5 * (f.w_in.T @ r0 + r0 @ f.w_in) + 0.5 * (f.v_out @ r1 @ f.d + f.d.T @ r1 @ f.v_out.T)
-    y1 = f.coherent * r1 - 0.5 * (f.w_out.T @ r1 + r1 @ f.w_out) + 0.5 * (f.v_in @ r0 @ f.d.T + f.d @ r0 @ f.v_in.T)
+    m0 = x[: n * n].reshape(n, n)
+    m1 = x[n * n :].reshape(n, n)
+    k = f.coherent.imag
+    y0 = k * m0.T - 0.5 * (f.w_in.T @ m0 + m0 @ f.w_in) + 0.5 * (f.v_out @ m1 @ f.d + f.d.T @ m1 @ f.v_out.T)
+    y1 = k * m1.T - 0.5 * (f.w_out.T @ m1 + m1 @ f.w_out) + 0.5 * (f.v_in @ m0 @ f.d.T + f.d @ m0 @ f.v_in.T)
     return np.concatenate([y0.reshape(-1), y1.reshape(-1)])
 
 
@@ -416,31 +434,44 @@ def _bordered_system(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) 
 
 
 def _gmres(matvec, precondition, rhs: np.ndarray) -> np.ndarray:
-    """x with |rhs - matvec(x)| <= GMRES_RTOL |rhs|: unrestarted GMRES, right
-    preconditioned by ``precondition``.  Raises ``SteadyStateError`` at
-    GMRES_MAX_ITER iterations or on an Arnoldi vector that is not finite."""
+    """x with |rhs - matvec(x)| <= GMRES_RTOL |rhs|: unrestarted GMRES in
+    float64, right preconditioned by ``precondition``.  Givens rotations
+    track the residual norm; the triangular least-squares problem is solved
+    once, at convergence.  Raises ``SteadyStateError`` at GMRES_MAX_ITER
+    iterations or on an Arnoldi vector that is not finite."""
     beta = float(np.linalg.norm(rhs))
     if beta == 0.0:
         return np.zeros_like(rhs)
-    basis = np.empty((GMRES_MAX_ITER + 1, rhs.size), dtype=complex)
-    hess = np.zeros((GMRES_MAX_ITER + 1, GMRES_MAX_ITER), dtype=complex)
-    e1 = np.zeros(GMRES_MAX_ITER + 1)
-    e1[0] = beta
+    basis = np.empty((GMRES_MAX_ITER + 1, rhs.size))
+    hess = np.zeros((GMRES_MAX_ITER, GMRES_MAX_ITER))  # the Hessenberg matrix, rotated to upper triangular
+    rotations = []  # (cos, sin) of each Givens rotation so far
+    g = [beta]  # the rotated beta e1
     basis[0] = rhs / beta
     for k in range(1, GMRES_MAX_ITER + 1):
         w = matvec(precondition(basis[k - 1]))
         for _ in range(2):  # classical Gram-Schmidt, twice
-            c = (basis[:k] @ w.conj()).conj()
+            c = basis[:k] @ w
             w -= c @ basis[:k]
             hess[:k, k - 1] += c
-        hess[k, k - 1] = np.linalg.norm(w)
-        if not np.isfinite(hess[k, k - 1]):
+        h = float(np.linalg.norm(w))
+        if not math.isfinite(h):
             raise SteadyStateError(f"GMRES Arnoldi vector {k} is not finite")
-        h, b = hess[: k + 1, :k], e1[: k + 1]
-        y = np.linalg.lstsq(h, b, rcond=None)[0]
-        if np.linalg.norm(h @ y - b) <= GMRES_RTOL * beta:
+        col = hess[:k, k - 1].tolist()
+        for i, (cs, sn) in enumerate(rotations):
+            col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+        r = math.hypot(col[-1], h)
+        if r == 0.0:
+            raise SteadyStateError(f"GMRES stagnated at iteration {k}: the Hessenberg column is singular")
+        cs, sn = col[-1] / r, h / r
+        rotations.append((cs, sn))
+        col[-1] = r
+        hess[:k, k - 1] = col
+        g[-1], g_next = cs * g[-1], -sn * g[-1]
+        if abs(g_next) <= GMRES_RTOL * beta:
+            y = np.linalg.solve(hess[:k, :k], g)
             return precondition(y @ basis[:k])
-        basis[k] = w / hess[k, k - 1]
+        g.append(g_next)
+        basis[k] = w / h
     raise SteadyStateError(f"GMRES did not reach relative residual {GMRES_RTOL:.0e} in {GMRES_MAX_ITER} iterations")
 
 
@@ -450,16 +481,20 @@ def krylov_steady_state(
     """Trace-one kernel vector of the generator, without its rows.
 
     The generator acts through its factors (``_act``: O(N^3) time, O(N^2)
-    memory).  The bordered system, with the same border row, the same gate
+    memory) on the real coordinates M = Re X + Im X of the Hermitian blocks
+    X: the trace row and the right-hand side are real, so the whole solve
+    stays in a real space of dimension 2 N^2, isometric to the Hermitian
+    pairs.  The bordered system, with the same border row, the same gate
     and the same residual action as in ``steady_state`` (``_bordered_system``),
     is solved by GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
-    (1986)) to a relative residual of GMRES_RTOL, then once more on the
-    residual left.  The preconditioner is exact on the 2N populations,
-    whose generator block is the Pauli rate matrix of sequential
-    tunnelling (Koch & von Oppen, PRL 94, 206804 (2005)), bordered in the
-    same row and inverted once (a singular block raises ``SteadyStateError``),
-    and the diagonal (Jacobi) on every coherence.  ``_finish`` ends it, as it
-    ends ``steady_state``.
+    (1986)) with Givens rotations to a relative residual of GMRES_RTOL, then
+    once more on the residual left.  The preconditioner is exact on the 2N
+    populations, whose generator block is the Pauli rate matrix of
+    sequential tunnelling (Koch & von Oppen, PRL 94, 206804 (2005)),
+    bordered in the same row and inverted once (a singular block raises
+    ``SteadyStateError``), and on every coherence the diagonal (Jacobi),
+    inverted exactly on the 2 x 2 pair of coordinates (j, m) and (m, j) that
+    the coherent part couples.  ``_finish`` ends it, as it ends ``steady_state``.
 
     A decoupled generator (lam == 0: D = I, every Fock population is
     stationary) has an N-dimensional kernel.  Unsolved, with method
@@ -477,7 +512,7 @@ def krylov_steady_state(
 
     if config.system.lam == 0.0:
         p1 = f.w_in[0, 0] / (f.w_in[0, 0] + f.w_out[0, 0])
-        flat = np.eye(n, dtype=complex).reshape(-1) / n
+        flat = np.eye(n).reshape(-1) / n
         x = np.concatenate([(1.0 - p1) * flat, p1 * flat])
         return _finish(x, system, "decoupled")
 
@@ -490,8 +525,14 @@ def krylov_steady_state(
         pauli_inv = np.linalg.inv(pauli)
     except np.linalg.LinAlgError as exc:
         raise SteadyStateError("the bordered Pauli block is singular") from exc
-    jacobi = system.diag.copy()
-    jacobi[pop] = 1.0  # overwritten by the population block
+    # the coherent part couples the coordinates (j, m) and (m, j) of a block, so
+    # Jacobi inverts the diagonal d on each such pair: u = (Re d v + k v^T) / |d|^2
+    d_re = system.diag.real.copy()
+    d_re[pop] = 1.0  # overwritten by the population block
+    k = -system.diag.imag  # omega (j - m)
+    norm2 = d_re * d_re + k * k
+    on_v = (d_re / norm2).reshape(2, n, n)
+    on_vt = (k / norm2).reshape(2, n, n)
 
     def bordered(x: np.ndarray) -> np.ndarray:
         y = _act(f, x)
@@ -499,11 +540,12 @@ def krylov_steady_state(
         return y
 
     def precondition(v: np.ndarray) -> np.ndarray:
-        u = v / jacobi
+        b = v.reshape(2, n, n)
+        u = (on_v * b + on_vt * b.transpose(0, 2, 1)).reshape(-1)
         u[pop] = pauli_inv @ v[pop]
         return u
 
-    rhs = np.zeros(2 * n * n, dtype=complex)
+    rhs = np.zeros(2 * n * n)
     rhs[row] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a non-finite vector fails ``_gmres`` or the gates of ``_finish``
