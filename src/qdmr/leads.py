@@ -11,7 +11,12 @@ closes in the lower half plane: the Lorentzian pole p = c - i*delta
 gives (gamma*delta/2) h(p) e^{-ips}, the Fermi poles mu - i*nu_k,
 nu_k = pi*T*(2k+1), give -/+ i*T sum_k window(mu - i*nu_k) e^{-i*mu*s - nu_k*s}.
 At s = 0 that Matsubara series is -/+ i*gamma*delta/(4pi) (psi(z2) - psi(z1))
-with z1,2 = 1/2 + (+/-delta + i(mu - c))/(2pi*T).
+with z1,2 = 1/2 + (+/-delta + i(mu - c))/(2pi*T).  The digamma difference
+is formed as one difference, in plain floating point: ``_digamma_difference``
+shifts both arguments up until Re z >= 1/2 and |z| >= DIGAMMA_SHIFT and
+takes the asymptotic series of the shifted pair (Abramowitz & Stegun
+6.3.18) as a log ratio and a difference of Bernoulli tails, so the two
+digamma values, which cancel where |C(0)| is small, are never formed.
 
 The traces live on one grid: 801 times from 0 to max(2 ns, 20 max(1/delta,
 1/T)).  Only live pole terms are evaluated: a term e^{-nu_k s} below e^-50
@@ -25,6 +30,8 @@ delta_t_mk = 40) lead L has 1713 live terms and lead R 2262.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +39,11 @@ import numpy as np
 from .model import LeadParams
 
 DECAY_THRESHOLD = 0.01  # fraction of |C(0)| below which the bath memory has decayed
+# |z| from which ``_digamma_difference`` takes the asymptotic series; there the
+# first omitted term, B_18 / (18 z^18), is below 1e-21
+DIGAMMA_SHIFT = 16.0
+# B_2k / 2k for k = 8, ..., 1, the Bernoulli tail of psi(z) ~ ln z - 1/(2z) - sum B_2k / (2k z^2k)
+_BERNOULLI_TAIL = (-3617 / 8160, 1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12)
 
 
 def fermi(energy, mu: float, temperature: float):
@@ -94,12 +106,46 @@ class CorrelationTrace:
     converged: bool
 
 
+def _digamma_difference(z1: complex, z2: complex) -> complex:
+    """psi(z2) - psi(z1), formed as one difference with no SciPy.
+
+    Both arguments are shifted up by the same n until each has Re z >= 1/2
+    and |z| >= DIGAMMA_SHIFT, by psi(z) = psi(z + n) - sum_k 1/(z + k), whose
+    shift terms pair up as (z2 - z1) / ((z1 + k)(z2 + k)).  The shifted pair
+    takes the asymptotic series (Abramowitz & Stegun 6.3.18): the log ratio
+    log(z2 / z1), as log1p((z2 - z1) / z1) while that ratio is within 1/2
+    of 1, plus (z2 - z1) / (2 z1 z2), less the difference of the two
+    Bernoulli tails.  A pole of psi (z a non-positive integer) gives a
+    ``ZeroDivisionError``.
+    """
+    dz = z2 - z1
+    least = math.sqrt(max(DIGAMMA_SHIFT**2 - min(z1.imag**2, z2.imag**2), 0.25))  # the Re z the shift reaches
+    n = max(0, math.ceil(least - min(z1.real, z2.real)))
+    shift = 0j
+    for _ in range(n):
+        shift += 1.0 / (z1 * z2)
+        z1 += 1.0
+        z2 += 1.0
+    w = dz / z1
+    if abs(w) > 0.5:
+        log = cmath.log(z2 / z1)
+    else:  # log1p of a complex w, accurate to rounding as w -> 0
+        log = complex(0.5 * math.log1p(w.real * (2.0 + w.real) + w.imag * w.imag), math.atan2(w.imag, 1.0 + w.real))
+    w1, w2 = 1.0 / (z1 * z1), 1.0 / (z2 * z2)
+    tail1 = tail2 = 0j
+    for coefficient in _BERNOULLI_TAIL:
+        tail1 = tail1 * w1 + coefficient
+        tail2 = tail2 * w2 + coefficient
+    return dz * shift + log + 0.5 * dz / (z1 * z2) - (tail2 * w2 - tail1 * w1)
+
+
 def bath_correlation(lead: LeadParams) -> CorrelationTrace:
     """Evaluate both bath correlators and estimate the memory time.
 
     The grid has 801 times from 0 to 20 memory times (window width 1/delta
     or thermal time 1/T), at least 2 ns; times are in ns (reciprocal angular
-    GHz).  s = 0 is the digamma closed form.  A time s > 0 sums its
+    GHz).  s = 0 is the digamma closed form, one ``_digamma_difference``
+    with numpy and ``math`` only.  A time s > 0 sums its
     floor(50/(2 pi T s) + 1/2) live Matsubara poles directly, in pole order:
     the flat (time, pole) terms are gathered with ``np.repeat`` and summed
     per time with ``np.bincount``.  The step is at least 20/(800 T), so
@@ -125,9 +171,8 @@ def bath_correlation(lead: LeadParams) -> CorrelationTrace:
     series.real[1:] = np.bincount(rows, decay * window.real[poles], s.size)
     series.imag[1:] = np.bincount(rows, decay * window.imag[poles], s.size)
     # window(mu - i*nu) = g*d/(2h) * sum(sign / (k + z)) over z1,2 = 1/2 + (+/-d + i(mu - c))/h
-    z = 0.5 + (np.array([d, -d]) + 1j * (mu - c)) / h
-    from scipy.special import digamma  # here, so that importing qdmr loads no SciPy
-    series[0] = 0.5 * g * d / h * (digamma(z[1]) - digamma(z[0]))
+    z1, z2 = complex(0.5 + d / h, (mu - c) / h), complex(0.5 - d / h, (mu - c) / h)
+    series[0] = 0.5 * g * d / h * _digamma_difference(z1, z2)
     matsubara = 0.5j * h / np.pi * np.exp(-1j * mu * times) * series
 
     c_out = lorentz * (1.0 - f_pole) - matsubara

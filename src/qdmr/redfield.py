@@ -55,6 +55,11 @@ from .phonon import displacement_matrix
 MIN_EIG_FLOOR = -1e-8  # smallest block eigenvalue a stationary state may have
 RESIDUAL_RTOL = 1e-8  # largest max|L x| of a stationary state x, relative to the infinity norm of L
 GMRES_RTOL = 1e-12  # relative residual at which each GMRES pass of ``krylov_steady_state`` stops
+# residual norm below which its refinement pass stops, against a unit right-hand side: the update
+# x + dx holds no more; at the six seed-1 ``adaptive-eq`` points, N = 20, the state agrees with
+# the LU's to 5.0e-16 (5.55e-16 with no floor; 4.94e-15 at 5e-17), and at the self-oscillation
+# point, N = 40, the pass takes 7 iterations instead of 16
+GMRES_FLOOR = 1e-17
 # iterations after which a pass gives up; a pass took 1 to 17 at the points measured, N = 20 to 80;
 # the basis holds GMRES_MAX_ITER + 1 real vectors of 2 N^2
 GMRES_MAX_ITER = 100
@@ -380,9 +385,11 @@ def _act(f: _SummedFactors, x: np.ndarray) -> np.ndarray:
 
 def _gain_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row sums of |(kron(a, b) + kron(b, a)) / 2| on the rows (j, j), the
-    populations of the block that this gain feeds."""
-    outer = a[:, :, None] * b[:, None, :]
-    return 0.5 * np.abs(outer + outer.transpose(0, 2, 1)).sum(axis=(1, 2))
+    populations of the block that this gain feeds.  The sum and its absolute
+    value share one N^3 array, so at most two are live (128 MB at N = 200)."""
+    s = a[:, :, None] * b[:, None, :]
+    s += a[:, None, :] * b[:, :, None]
+    return 0.5 * np.abs(s, out=s).sum(axis=(1, 2))
 
 
 class _BorderedSystem(NamedTuple):
@@ -433,9 +440,9 @@ def _bordered_system(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) 
     return _BorderedSystem(f, pop, border, diag, gate)
 
 
-def _gmres(matvec, precondition, rhs: np.ndarray) -> np.ndarray:
-    """x with |rhs - matvec(x)| <= GMRES_RTOL |rhs|: unrestarted GMRES in
-    float64, right preconditioned by ``precondition``.  Givens rotations
+def _gmres(matvec, precondition, rhs: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """x with |rhs - matvec(x)| <= max(GMRES_RTOL |rhs|, floor): unrestarted
+    GMRES in float64, right preconditioned by ``precondition``.  Givens rotations
     track the residual norm; the triangular least-squares problem is solved
     once, at convergence.  Raises ``SteadyStateError`` at GMRES_MAX_ITER
     iterations or on an Arnoldi vector that is not finite."""
@@ -445,6 +452,7 @@ def _gmres(matvec, precondition, rhs: np.ndarray) -> np.ndarray:
     basis = np.empty((GMRES_MAX_ITER + 1, rhs.size))
     hess = np.zeros((GMRES_MAX_ITER, GMRES_MAX_ITER))  # the Hessenberg matrix, rotated to upper triangular
     rotations = []  # (cos, sin) of each Givens rotation so far
+    target = max(GMRES_RTOL * beta, floor)
     g = [beta]  # the rotated beta e1
     basis[0] = rhs / beta
     for k in range(1, GMRES_MAX_ITER + 1):
@@ -467,7 +475,7 @@ def _gmres(matvec, precondition, rhs: np.ndarray) -> np.ndarray:
         col[-1] = r
         hess[:k, k - 1] = col
         g[-1], g_next = cs * g[-1], -sn * g[-1]
-        if abs(g_next) <= GMRES_RTOL * beta:
+        if abs(g_next) <= target:
             y = np.linalg.solve(hess[:k, :k], g)
             return precondition(y @ basis[:k])
         g.append(g_next)
@@ -488,7 +496,9 @@ def krylov_steady_state(
     and the same residual action as in ``steady_state`` (``_bordered_system``),
     is solved by GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
     (1986)) with Givens rotations to a relative residual of GMRES_RTOL, then
-    once more on the residual left.  The preconditioner is exact on the 2N
+    once more on the residual left, to GMRES_RTOL of it or to GMRES_FLOOR,
+    whichever is larger: below about 1e-17 the update no longer changes the
+    sum x + dx.  The preconditioner is exact on the 2N
     populations, whose generator block is the Pauli rate matrix of
     sequential tunnelling (Koch & von Oppen, PRL 94, 206804 (2005)),
     bordered in the same row and inverted once (a singular block raises
@@ -550,7 +560,7 @@ def krylov_steady_state(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a non-finite vector fails ``_gmres`` or the gates of ``_finish``
         x = _gmres(bordered, precondition, rhs)
-        x = x + _gmres(bordered, precondition, rhs - bordered(x))
+        x = x + _gmres(bordered, precondition, rhs - bordered(x), GMRES_FLOOR)
     return _finish(x, system, "gmres")
 
 

@@ -542,9 +542,11 @@ class TestInstalledEntryPoint:
 
 
 class TestStartsWithoutScipy:
-    """A fresh interpreter that imports qdmr, runs a point or evaluates a sweep
-    task loads no SciPy module: SciPy is imported only by the dense LU, the
-    adaptive ladder's confirm and the bath correlator's s = 0 term."""
+    """A fresh interpreter that imports qdmr, runs a point, evaluates a sweep
+    task, runs ``qdmr markov-check`` or ``qdmr validate markov`` loads no
+    SciPy module: SciPy is imported only by the dense LU (``steady_state``),
+    which reports where GMRES fails its gates and confirms the adaptive
+    ladder's accepted rung."""
 
     @staticmethod
     def _scipy_modules(code: str, *args: str) -> list[str]:
@@ -565,6 +567,14 @@ class TestStartsWithoutScipy:
     def test_point(self, ini, tmp_path):
         code = "from qdmr.cli import main\nassert main(['point', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0"
         assert self._scipy_modules(code, ini, str(tmp_path / "point.txt")) == []
+
+    def test_markov_check(self, ini, tmp_path):
+        code = "from qdmr.cli import main\nassert main(['markov-check', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0"
+        assert self._scipy_modules(code, ini, str(tmp_path / "traces.csv")) == []
+
+    def test_validate_markov(self):
+        code = "from qdmr.cli import main\nassert main(['validate', 'markov']) == 0"
+        assert self._scipy_modules(code) == []
 
     def test_sweep_tasks_at_and_off_zero_coupling(self, ini):
         code = (

@@ -4,13 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
-from qdmr.leads import bath_correlation, fermi, rate_in, rate_out, tunneling_rate
+from qdmr.leads import _digamma_difference, bath_correlation, fermi, rate_in, rate_out, tunneling_rate
+from qdmr.model import LeadParams
 from qdmr.validation import reference_config
 
 from conftest import make_config
 from oracles import (
-    bath_correlation_all_poles, bath_correlation_quad, bath_correlation_zero_time, fermi_ref, lorentz_ref,
+    bath_correlation_all_poles, bath_correlation_quad, bath_correlation_zero_time, digamma_difference_exact,
+    fermi_ref, lorentz_ref,
 )
 
 
@@ -148,6 +151,64 @@ class TestLivePoles:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20, (lead, peak)
+
+
+def _grid_lead(delta_over_h, offset_over_h):
+    # delta / (2 pi T) and (mu - c) / (2 pi T) as given, at delta = 10 GHz
+    temperature = 10.0 / (2.0 * np.pi * delta_over_h)
+    return LeadParams(
+        label="L", gamma_rate=1.0, delta=10.0, gamma_center=0.0,
+        temperature=temperature, chem_potential=2.0 * np.pi * temperature * offset_over_h,
+    )
+
+
+# delta / (2 pi T) in [1e-3, 300] and (mu - c) / (2 pi T) in [-400, 400]
+GRID_LEADS = [
+    _grid_lead(a, y)
+    for a in np.geomspace(1e-3, 300.0, 12)
+    for y in np.concatenate([-np.geomspace(1e-3, 400.0, 6), [0.0], np.geomspace(1e-3, 400.0, 6)])
+]
+
+
+class TestDigammaDifference:
+    """The s = 0 term's psi(z2) - psi(z1), formed as one difference with no
+    SciPy.  It enters both C(0) as gamma*delta/(4 pi) times the difference,
+    so each error is gated in units of |C(0)|.  SciPy's two values each
+    carry about eps |psi| and cancel where a |C(0)| is small, so SciPy's
+    difference is gated in units of the larger |C(0)|; the 40-digit value
+    is gated in units of each |C(0)|, as the all-poles sum is, and
+    TestLivePoles stays the binding gate at the leads of its cases."""
+
+    @staticmethod
+    def _errors(lead):
+        """The C(0) errors against SciPy's and the 40-digit difference, and (|C_out(0)|, |C_in(0)|)."""
+        h = 2.0 * np.pi * lead.temperature
+        y = (lead.chem_potential - lead.gamma_center) / h
+        z1, z2 = complex(0.5 + lead.delta / h, y), complex(0.5 - lead.delta / h, y)
+        got = _digamma_difference(z1, z2)
+        scale = lead.gamma_rate * lead.delta / (4.0 * np.pi)
+        trace = bath_correlation(lead)
+        return (
+            scale * abs(got - complex(digamma(z2) - digamma(z1))),
+            scale * abs(got - digamma_difference_exact(z1, z2)),
+            (abs(trace.c_out[0]), abs(trace.c_in[0])),
+        )
+
+    @pytest.mark.parametrize("case", sorted(set(ALL_POLES_CASES) | set(CORRELATION_CASES)))
+    def test_matches_scipy_and_the_40_digit_value_at_the_leads(self, case):
+        # the cold lead and both 10 mK leads have Re z2 < 0, where SciPy reflects
+        scipy_err, exact_err, c0 = self._errors({**ALL_POLES_CASES, **CORRELATION_CASES}[case]())
+        assert scipy_err <= 1e-14 * max(c0), scipy_err / max(c0)
+        assert exact_err <= 1e-14 * min(c0), exact_err / min(c0)
+
+    def test_matches_scipy_and_the_40_digit_value_on_the_grid(self):
+        worst_scipy = worst_exact = 0.0
+        for lead in GRID_LEADS:
+            scipy_err, exact_err, c0 = self._errors(lead)
+            worst_scipy = max(worst_scipy, scipy_err / max(c0))
+            worst_exact = max(worst_exact, exact_err / min(c0))
+        assert worst_scipy <= 1e-14, worst_scipy
+        assert worst_exact <= 1e-14, worst_exact
 
 
 class TestBathCorrelation:

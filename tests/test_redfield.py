@@ -230,13 +230,37 @@ class TestMatrixFreeAction:
         for ref in (rows.real + rows.imag, dense.real + dense.imag):
             assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n_cut", [6, 20, 40])
+    def test_gain_row_sums_are_the_three_temporary_sums_bit_for_bit(self, n_cut):
+        # the border row feeds the LU's bits, so the one-array sums keep every bit
+        # of the sum of |outer + outer^T|, which held three N^3 arrays at once
+        for mu_tilde in (0.0, -60.0, 35.0, ADAPTIVE_EQ_MU[1], ADAPTIVE_EQ_MU[4]):
+            config = make_config(mu_tilde=mu_tilde, delta_mu=-50.0, n_cut=n_cut)
+            f = _bordered_system(config, build_tensors(config)).f
+            for a, b in ((f.v_out, f.d.T), (f.v_in, f.d)):
+                outer = a[:, :, None] * b[:, None, :]
+                expected = 0.5 * np.abs(outer + outer.transpose(0, 2, 1)).sum(axis=(1, 2))
+                assert redfield._gain_row_sums(a, b).tobytes() == expected.tobytes()
+
+    def test_gain_row_sums_hold_at_most_two_cubes(self):
+        n = 40
+        config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=n)
+        f = _bordered_system(config, build_tensors(config)).f
+        tracemalloc.start()
+        try:
+            redfield._gain_row_sums(f.v_out, f.d.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n**3, peak / (8 * n**3)
+
     def test_solves_in_float64_and_gives_hermitian_blocks(self, monkeypatch):
         config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=12)
         dtypes = []
         gmres = redfield._gmres
 
-        def recorded(matvec, precondition, rhs):
-            x = gmres(matvec, precondition, rhs)
+        def recorded(matvec, precondition, rhs, *floor):
+            x = gmres(matvec, precondition, rhs, *floor)
             dtypes.append((rhs.dtype, x.dtype))
             return x
 
@@ -251,25 +275,26 @@ class TestMatrixFreeAction:
 
     def test_iterations_per_pass_at_the_self_oscillation_point(self, monkeypatch):
         # the real coordinates are an isometry of the Hermitian pairs, so each pass
-        # takes the iterations of the same GMRES in complex arithmetic
+        # takes the iterations of the same GMRES in complex arithmetic; the
+        # refinement pass stops at GMRES_FLOOR
         config = make_config(mu_tilde=0.0, delta_mu=-50.0, n_cut=40)
         iterations = []
         gmres = redfield._gmres
 
-        def counted(matvec, precondition, rhs):
+        def counted(matvec, precondition, rhs, *floor):
             calls = []
 
             def counting(x):
                 calls.append(1)
                 return matvec(x)
 
-            x = gmres(counting, precondition, rhs)
+            x = gmres(counting, precondition, rhs, *floor)
             iterations.append(len(calls))
             return x
 
         monkeypatch.setattr(redfield, "_gmres", counted)
         krylov_steady_state(config, build_tensors(config))
-        assert iterations == [12, 16]
+        assert iterations == [12, 7]
 
     @pytest.mark.parametrize("n_cut", [2, 6])
     def test_decoupled_state_reads_the_total_dot_rates_off_the_generator_diagonal(self, n_cut):
@@ -389,6 +414,15 @@ class TestSteadyState:
         x = redfield._gmres(lambda v: a * v, lambda v: v, rhs)
         assert x.dtype == np.float64
         assert np.linalg.norm(rhs - a * x) <= redfield.GMRES_RTOL * np.linalg.norm(rhs)
+
+    def test_gmres_stops_at_an_absolute_floor_and_never_later(self):
+        a = np.arange(1.0, 9.0)
+        rhs = np.linspace(-1.0, 1.0, 8)
+        for floor, iterations in ((0.0, 8), (1e-2, 7), (1e-1, 5)):
+            calls = []
+            x = redfield._gmres(lambda v: calls.append(1) or a * v, lambda v: v, rhs, floor)
+            assert len(calls) == iterations
+            assert np.linalg.norm(rhs - a * x) <= max(redfield.GMRES_RTOL * np.linalg.norm(rhs), floor)
 
     def test_rows_are_built_by_the_fill_and_the_two_refinements_only(self, monkeypatch):
         passes = []
