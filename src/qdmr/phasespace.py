@@ -56,12 +56,20 @@ def reduce_resonator(state: BlockDensityMatrix) -> tuple[np.ndarray, float]:
 
 
 def husimi(rho_qmr: np.ndarray, alpha) -> np.ndarray | float:
-    """Q(alpha) = <alpha| rho |alpha> / pi, vectorized over alpha (the product with rho on BLAS)."""
-    c = coherent_overlap(alpha, rho_qmr.shape[0])
-    q = ((c.conj() @ rho_qmr) * c).sum(-1).real / math.pi
-    if q.ndim == 0:
-        return float(q)
-    return q
+    """Q(alpha) = <alpha| rho |alpha> / pi, vectorized over alpha, in real arithmetic.
+
+    With rho = S + iA and the overlaps c = x + iy, Q = (x^T S x + y^T S y - 2 x^T A y) / pi: one real
+    BLAS product of the coordinates (x_0, y_0, x_1, ...), a view of c, with the real form of rho, of
+    2 x 2 blocks [[S_jk, -A_jk], [A_jk, S_jk]]; for a real alpha (real overlaps), x^T S x.
+    """
+    c = coherent_overlap(alpha, len(rho_qmr))
+    m = np.ascontiguousarray(rho_qmr.real)
+    if np.iscomplexobj(c):
+        c, m = c.view(float), np.empty((2 * len(rho_qmr),) * 2)
+        m[0::2, 0::2] = m[1::2, 1::2] = rho_qmr.real
+        m[1::2, 0::2], m[0::2, 1::2] = rho_qmr.imag, -rho_qmr.imag
+    q = ((c @ m) * c).sum(-1) / math.pi
+    return float(q) if q.ndim == 0 else q
 
 
 def auto_extent(rho_qmr: np.ndarray) -> float:
@@ -91,29 +99,37 @@ class RadialProfile:
         return float(-(pos * np.log(pos)).sum() * self.dr)
 
 
-def radial_profile(
-    rho_qmr: np.ndarray,
-    center: complex,
-    phi: float,
-    *,
-    dr: float = 0.02,
-) -> RadialProfile:
-    """Sample Q along center + r e^{i phi}, r >= 0, analytically at each point.
+def radial_profile(rho_qmr: np.ndarray, center: complex, phi: float, *, dr: float = 0.02) -> RadialProfile:
+    """Sample Q along center + r e^{i phi}, r >= 0, analytically at each point: the one-ray ``_fan``."""
+    return _fan(rho_qmr, center, (phi,), dr)[0]
 
-    The ray ends at ``auto_extent`` + |center|, extended until the raw
-    Husimi value at its end drops below 1e-10.
+
+def _fan(rho_qmr: np.ndarray, center: complex, angles, dr: float) -> tuple[RadialProfile, ...]:
+    """The normalized profile of each ray center + r e^{i phi}, r >= 0, in angle order.
+
+    Each ray ends at ``auto_extent`` + |center|, extended by 1 until the raw Husimi value there drops
+    below 1e-10 (or the end reaches 60), with one ``husimi`` call for the ends of all rays per step.
+    From a real center the rays at phi = 0 and pi are sampled at real alpha, with a step of exactly
+    +1 and -1: one real product per point.
     """
-    r_end = auto_extent(rho_qmr) + abs(center)
-    step = np.exp(1j * phi)
-    while husimi(rho_qmr, center + r_end * step) > 1e-10 and r_end < 60.0:
-        r_end += 1.0
-    radii = np.arange(0.0, r_end + 0.5 * dr, dr)
-    q = husimi(rho_qmr, center + radii * step)
-    q = np.clip(q, 0.0, None)
-    raw = float(q.sum() * dr)
-    if raw <= 0.0:
-        raise InvalidStateError("Husimi profile vanishes along the ray")
-    return RadialProfile(phi=phi, radii=radii, values=q / raw, dr=dr)
+    real = center.imag == 0.0
+    rays = [(center.real, math.cos(phi)) if real and phi in (0, math.pi) else (center, np.exp(1j * phi)) for phi in angles]
+    origins, steps = np.array(rays).T
+    ends = np.full(len(rays), auto_extent(rho_qmr) + abs(center))
+    live = np.arange(len(rays))
+    while live.size:
+        q = husimi(rho_qmr, origins[live] + ends[live] * steps[live])
+        live = live[(q > 1e-10) & (ends[live] < 60.0)]
+        ends[live] += 1.0
+    profiles = []
+    for phi, (origin, step), end in zip(angles, rays, ends):
+        radii = np.arange(0.0, end + 0.5 * dr, dr)
+        q = np.clip(husimi(rho_qmr, origin + radii * step), 0.0, None)
+        raw = float(q.sum() * dr)
+        if raw <= 0.0:
+            raise InvalidStateError("Husimi profile vanishes along the ray")
+        profiles.append(RadialProfile(phi=phi, radii=radii, values=q / raw, dr=dr))
+    return tuple(profiles)
 
 
 def profile_contribution(profile: RadialProfile) -> tuple[float, float]:
@@ -149,12 +165,7 @@ def default_angles(lam: float) -> tuple[float, ...]:
     return tuple(2.0 * math.pi * k / WIDE_ANGLE_COUNT for k in range(WIDE_ANGLE_COUNT))
 
 
-def torotropy(
-    state_lab: BlockDensityMatrix,
-    lam: float,
-    *,
-    dr: float = 0.02,
-) -> TorotropyResult:
+def torotropy(state_lab: BlockDensityMatrix, lam: float, *, dr: float = 0.02) -> TorotropyResult:
     """Self-oscillation measure of the lab-frame resonator state.
 
     The ray fan is anchored at -lam * <n>, the leading-order stationary
@@ -163,7 +174,7 @@ def torotropy(
     """
     rho, _ = reduce_resonator(state_lab)
     anchor = complex(-lam * state_lab.occupation)
-    profiles = tuple(radial_profile(rho, anchor, phi, dr=dr) for phi in default_angles(lam))
+    profiles = _fan(rho, anchor, default_angles(lam), dr)
     per_angle = []
     for prof in profiles:
         gap, s = profile_contribution(prof)

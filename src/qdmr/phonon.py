@@ -104,13 +104,13 @@ def coherent_overlap(alpha: complex | np.ndarray, n_cut: int) -> np.ndarray:
     """Overlap vector c with c[..., k] = <k|alpha> = e^{-|alpha|^2/2} alpha^k / sqrt(k!).
 
     Accepts scalar or array ``alpha``; the Fock index is appended as the
-    last axis.  Evaluated by the stable ratio recurrence
-    c_{k+1} = c_k * alpha / sqrt(k+1), which never overflows; overlaps
-    below double-precision range underflow harmlessly to zero.
+    last axis, and a real ``alpha`` gives a real vector.  Evaluated as one
+    cumulative product along the Fock axis of e^{-|alpha|^2/2} and the
+    ratios alpha * (1/sqrt(k)), which never overflows; overlaps below
+    double-precision range underflow harmlessly to zero.
     """
-    a = np.asarray(alpha, dtype=complex)
-    out = np.empty(a.shape + (n_cut,), dtype=complex)
+    a = np.asarray(alpha, dtype=float if np.isrealobj(alpha) else complex)
+    out = np.empty(a.shape + (n_cut,), dtype=a.dtype)
     out[..., 0] = np.exp(-0.5 * np.abs(a) ** 2)
-    for k in range(1, n_cut):
-        out[..., k] = out[..., k - 1] * a / np.sqrt(k)
-    return out
+    out[..., 1:] = a[..., None] * (1.0 / np.sqrt(np.arange(1, n_cut)))
+    return np.cumprod(out, axis=-1, out=out)

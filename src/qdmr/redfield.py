@@ -63,6 +63,9 @@ GMRES_FLOOR = 1e-17
 # iterations after which a pass gives up; a pass took 1 to 17 at the points measured, N = 20 to 80;
 # the basis holds GMRES_MAX_ITER + 1 real vectors of 2 N^2
 GMRES_MAX_ITER = 100
+# relative distance from the least border score within which rows tie (a rho0 and a rho1 row do at mu_tilde = 0)
+BORDER_TIE = 8 * np.finfo(float).eps
+DENSE_BUDGET = 16 * (2 * 80**2) ** 2  # bytes of the largest dense copy ``steady_state`` makes: 2.6 GB, at N = 80
 
 
 class SteadyStateError(RuntimeError):
@@ -152,16 +155,17 @@ class RedfieldTensors:
 
 
 def build_tensors(config: ModelConfig) -> tuple[RedfieldTensors, RedfieldTensors]:
-    """The factored transition tensors of both leads, (L, R), on one level grid
-    and one displacement matrix."""
+    """The factored transition tensors of both leads, (L, R), on one level grid and one displacement
+    matrix; each lead's rates are evaluated on the 2N - 1 distinct levels and gathered."""
     n = config.system.n_cut
     idx = np.arange(n)
-    eps = config.system.mu_tilde - config.system.omega * (idx[:, None] - idx[None, :])
+    gap = idx[:, None] - idx[None, :] + (n - 1)  # eps[k, l] depends on k - l only: its index among the 2N - 1 levels
+    levels = config.system.mu_tilde - config.system.omega * np.arange(1 - n, n)
     d = displacement_matrix(config.system.lam, n)
     tensors = []
     for lead in config.leads:
-        r_in = rate_in(eps, lead)
-        r_out = rate_out(eps, lead)
+        r_in = rate_in(levels, lead)[gap]
+        r_out = rate_out(levels, lead)[gap]
         w_in = np.einsum("ai,ia,ib->ab", r_in, d, d)
         w_out = np.einsum("ia,ai,bi->ab", r_out, d, d)
         tensors.append(RedfieldTensors(displacement=d, w_in=w_in, w_out=w_out, v_in=d * r_in.T, v_out=d.T * r_out))
@@ -285,8 +289,11 @@ def steady_state(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) -> t
     (``_bordered_system``).  One pass over the rows fills a Fortran-order
     buffer that LAPACK factorises in place, so the solve holds one dense
     copy of the generator and O(N^3) per pass; the two refinement products
-    build the rows again.  ``_finish`` ends it.  A decoupled generator (lam == 0) is refused.
+    build the rows again.  ``_finish`` ends it.  A decoupled generator (lam == 0) is refused; a dense
+    copy, 16 (2N^2)^2 bytes, above DENSE_BUDGET raises ``SteadyStateError`` before any allocation.
     """
+    if 16 * (2 * config.system.n_cut**2) ** 2 > DENSE_BUDGET:
+        raise SteadyStateError(f"the dense copy at N = {config.system.n_cut} exceeds {DENSE_BUDGET / 1e9:.1f} GB")
     import scipy.linalg  # here only, so that a point that GMRES solves loads no SciPy
 
     if config.system.lam == 0.0:
@@ -327,24 +334,16 @@ def _finish(x: np.ndarray, system: _BorderedSystem, method: str) -> tuple[BlockD
     if not np.isfinite(x).all():
         raise SteadyStateError(f"the {method} solve's raw vector is not finite")
     n = system.f.d.shape[0]
-    nn = n * n
-    rho0 = x[:nn].reshape(n, n)
-    rho1 = x[nn:].reshape(n, n)
-    if np.iscomplexobj(x):
-        rho0 = 0.5 * (rho0 + rho0.conj().T)
-        rho1 = 0.5 * (rho1 + rho1.conj().T)
-    else:
-        rho0 = 0.5 * (rho0 + rho0.T) + 0.5j * (rho0 - rho0.T)
-        rho1 = 0.5 * (rho1 + rho1.T) + 0.5j * (rho1 - rho1.T)
-    tr = float(np.trace(rho0).real + np.trace(rho1).real)
-    rho0 = rho0 / tr
-    rho1 = rho1 / tr
+    m = x.reshape(2, n, n)
+    mt = m.transpose(0, 2, 1)
+    blocks = 0.5 * (m + mt.conj()) if np.iscomplexobj(x) else 0.5 * (m + mt) + 0.5j * (m - mt)
+    blocks = blocks / float(np.trace(blocks[0]).real + np.trace(blocks[1]).real)
+    rho0, rho1 = blocks
 
-    coords = np.concatenate([(rho0.real + rho0.imag).reshape(-1), (rho1.real + rho1.imag).reshape(-1)])
-    residual = float(np.abs(_act(system.f, coords)).max())
+    residual = float(np.abs(_act(system.f, (blocks.real + blocks.imag).reshape(-1))).max())
     if not residual <= system.gate:
         raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds gate {system.gate:.3e}")
-    min_eig = (float(np.linalg.eigvalsh(rho0)[0]), float(np.linalg.eigvalsh(rho1)[0]))
+    min_eig = tuple(map(float, np.linalg.eigvalsh(blocks)[:, 0]))
     if not min(min_eig) >= MIN_EIG_FLOOR:
         raise SteadyStateError(
             f"stationary state is not positive: smallest block eigenvalue "
@@ -355,41 +354,48 @@ def _finish(x: np.ndarray, system: _BorderedSystem, method: str) -> tuple[BlockD
 
 
 class _SummedFactors(NamedTuple):
-    """The generator's factors summed over the leads, the shared D and the
-    coherent part: all that its matrix-free action needs."""
+    """The lead-summed factors, stacked by the block they feed (rho0's first), D and the coherent part."""
 
-    w_in: np.ndarray
-    w_out: np.ndarray
-    v_in: np.ndarray
-    v_out: np.ndarray
+    loss: np.ndarray  # (W_in, W_out)
+    gain: np.ndarray  # (V_out, V_in)
     d: np.ndarray
     coherent: np.ndarray  # -i omega (j - m) at [j, m]
 
 
 def _act(f: _SummedFactors, x: np.ndarray) -> np.ndarray:
-    """Generator times the stacked real coordinates ``x``: 12 real N x N products.
+    """Generator times the stacked real coordinates ``x``: 12 real N x N
+    products, 8 of them made as 4 products of the (2, N, N) block stacks.
 
     A Hermitian block X = S + iA (S symmetric, A antisymmetric) has the
     coordinates M = S + A = Re X + Im X, an isometry with the inverse
     X = (M + M^T)/2 + i(M - M^T)/2.  The factors are real, so each of their
     products acts on M as on X, and the coherent part i*K∘X becomes K∘M^T.
+    The 4 products with D are made apart, as rho0 takes D where rho1 takes
+    D^T and BLAS may round a transposed operand differently: with every
+    operand's layout and the order of the sums kept, the action is bit for
+    bit that of the 12 products of the block actions.
     """
     n = f.d.shape[0]
-    m0 = x[: n * n].reshape(n, n)
-    m1 = x[n * n :].reshape(n, n)
-    k = f.coherent.imag
-    y0 = k * m0.T - 0.5 * (f.w_in.T @ m0 + m0 @ f.w_in) + 0.5 * (f.v_out @ m1 @ f.d + f.d.T @ m1 @ f.v_out.T)
-    y1 = k * m1.T - 0.5 * (f.w_out.T @ m1 + m1 @ f.w_out) + 0.5 * (f.v_in @ m0 @ f.d.T + f.d @ m0 @ f.v_in.T)
-    return np.concatenate([y0.reshape(-1), y1.reshape(-1)])
+    m = x.reshape(2, n, n)
+    y = f.coherent.imag * m.transpose(0, 2, 1) - 0.5 * (f.loss.transpose(0, 2, 1) @ m + m @ f.loss)
+    vm = f.gain @ m[::-1]  # each block's gain reads the other block
+    dm = np.empty_like(m)
+    np.matmul(f.d.T, m[1], out=dm[0])
+    np.matmul(f.d, m[0], out=dm[1])
+    gain = dm @ f.gain.transpose(0, 2, 1)
+    np.matmul(vm[0], f.d, out=dm[0])
+    np.matmul(vm[1], f.d.T, out=dm[1])
+    y += 0.5 * (dm + gain)
+    return y.reshape(-1)
 
 
 def _gain_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row sums of |(kron(a, b) + kron(b, a)) / 2| on the rows (j, j), the
-    populations of the block that this gain feeds.  The sum and its absolute
-    value share one N^3 array, so at most two are live (128 MB at N = 200)."""
-    s = a[:, :, None] * b[:, None, :]
-    s += a[:, None, :] * b[:, :, None]
-    return 0.5 * np.abs(s, out=s).sum(axis=(1, 2))
+    populations of the block that this gain feeds (of each block, for
+    stacks), in closed form: a = V and b = D or D^T share signs entrywise
+    (the rates are >= 0), so the N^2 terms |a_jk b_jl + a_jl b_jk| / 2 of
+    row j sum to sum_k |a_jk| * sum_l |b_jl|."""
+    return np.abs(a).sum(-1) * np.abs(b).sum(-1)
 
 
 class _BorderedSystem(NamedTuple):
@@ -409,35 +415,32 @@ class _BorderedSystem(NamedTuple):
 def _bordered_system(config: ModelConfig, tensors: tuple[RedfieldTensors, ...]) -> _BorderedSystem:
     """The border row and the residual gate of both solves, from the factors.
 
-    The least diagonally dominant population row (smallest 2|L_ii| -
-    sum_k |L_ik|, its row sums read off the factors) is replaced with the
+    The least diagonally dominant population row (smallest score 2|L_ii| -
+    sum_k |L_ik|, its row sums read off the factors; among scores within
+    BORDER_TIE of the least, relative to it, the first) is replaced with the
     trace functional, which makes the system nonsingular whenever the
     kernel is one-dimensional.  The gate is RESIDUAL_RTOL times the largest
     row sum of the coherent and loss terms: a lower bound on the infinity
     norm of the generator, so never looser than RESIDUAL_RTOL times that norm.
     """
     f = _SummedFactors(
-        *(sum(getattr(t, name) for t in tensors) for name in ("w_in", "w_out", "v_in", "v_out")),
+        loss=sum(np.stack([t.w_in, t.w_out]) for t in tensors),
+        gain=sum(np.stack([t.v_out, t.v_in]) for t in tensors),
         d=tensors[0].displacement,
         coherent=_coherent(config),
     )
     n = config.system.n_cut
     pop = np.concatenate([np.arange(n) * (n + 1), n * n + np.arange(n) * (n + 1)])
 
-    diag = []  # each block's generator diagonal
-    loss_sums = []  # each block's row sums of |coherent + loss|, [j, m] for row (j, m)
-    for w in (f.w_in, f.w_out):
-        w_d = np.diagonal(w)
-        off = 0.5 * (np.abs(w).sum(axis=0) - np.abs(w_d))  # along one index of a row, off the diagonal
-        block = f.coherent - 0.5 * (w_d[:, None] + w_d[None, :])
-        diag.append(block.reshape(-1))
-        loss_sums.append(off[:, None] + off[None, :] + np.abs(block))
-    diag = np.concatenate(diag)
-    gain_sums = [_gain_row_sums(f.v_out, f.d.T), _gain_row_sums(f.v_in, f.d)]
-    pop_sums = np.concatenate([np.diagonal(loss) + gain for loss, gain in zip(loss_sums, gain_sums)])
-    border = int(np.argmin(2.0 * np.abs(diag[pop]) - pop_sums))
-    gate = RESIDUAL_RTOL * max(float(loss.max()) for loss in loss_sums)
-    return _BorderedSystem(f, pop, border, diag, gate)
+    w_d = np.diagonal(f.loss, axis1=1, axis2=2)  # [block, j]
+    off = 0.5 * (np.abs(f.loss).sum(axis=1) - np.abs(w_d))  # along one index of a row, off the diagonal
+    diag = f.coherent - 0.5 * (w_d[:, :, None] + w_d[:, None, :])  # each block's generator diagonal
+    loss_sums = off[:, :, None] + off[:, None, :] + np.abs(diag)  # row sums of |coherent + loss|, [block, j, m]
+    pop_sums = np.diagonal(loss_sums, axis1=1, axis2=2) + _gain_row_sums(f.gain, np.stack([f.d.T, f.d]))
+    score = (2.0 * np.abs(np.diagonal(diag, axis1=1, axis2=2)) - pop_sums).reshape(-1)
+    border = int(np.flatnonzero(score <= score.min() + BORDER_TIE * abs(score.min()))[0])
+    gate = RESIDUAL_RTOL * float(loss_sums.max())
+    return _BorderedSystem(f, pop, border, diag.reshape(-1), gate)
 
 
 def _gmres(matvec, precondition, rhs: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -446,7 +449,7 @@ def _gmres(matvec, precondition, rhs: np.ndarray, floor: float = 0.0) -> np.ndar
     track the residual norm; the triangular least-squares problem is solved
     once, at convergence.  Raises ``SteadyStateError`` at GMRES_MAX_ITER
     iterations or on an Arnoldi vector that is not finite."""
-    beta = float(np.linalg.norm(rhs))
+    beta = math.sqrt(rhs @ rhs)
     if beta == 0.0:
         return np.zeros_like(rhs)
     basis = np.empty((GMRES_MAX_ITER + 1, rhs.size))
@@ -461,7 +464,7 @@ def _gmres(matvec, precondition, rhs: np.ndarray, floor: float = 0.0) -> np.ndar
             c = basis[:k] @ w
             w -= c @ basis[:k]
             hess[:k, k - 1] += c
-        h = float(np.linalg.norm(w))
+        h = math.sqrt(w @ w)
         if not math.isfinite(h):
             raise SteadyStateError(f"GMRES Arnoldi vector {k} is not finite")
         col = hess[:k, k - 1].tolist()
@@ -521,14 +524,14 @@ def krylov_steady_state(
     n = config.system.n_cut
 
     if config.system.lam == 0.0:
-        p1 = f.w_in[0, 0] / (f.w_in[0, 0] + f.w_out[0, 0])
+        p1 = f.loss[0, 0, 0] / (f.loss[0, 0, 0] + f.loss[1, 0, 0])
         flat = np.eye(n).reshape(-1) / n
         x = np.concatenate([(1.0 - p1) * flat, p1 * flat])
         return _finish(x, system, "decoupled")
 
     pauli = np.block([
-        [np.diag(-np.diagonal(f.w_in)), f.v_out * f.d.T],
-        [f.v_in * f.d, np.diag(-np.diagonal(f.w_out))],
+        [np.diag(-np.diagonal(f.loss[0])), f.gain[0] * f.d.T],
+        [f.gain[1] * f.d, np.diag(-np.diagonal(f.loss[1]))],
     ])
     pauli[system.border] = 1.0  # the trace over all populations
     try:
@@ -551,9 +554,10 @@ def krylov_steady_state(
 
     def precondition(v: np.ndarray) -> np.ndarray:
         b = v.reshape(2, n, n)
-        u = (on_v * b + on_vt * b.transpose(0, 2, 1)).reshape(-1)
-        u[pop] = pauli_inv @ v[pop]
-        return u
+        u = on_v * b
+        u += on_vt * b.transpose(0, 2, 1)
+        u.reshape(-1)[pop] = pauli_inv @ v[pop]
+        return u.reshape(-1)
 
     rhs = np.zeros(2 * n * n)
     rhs[row] = 1.0

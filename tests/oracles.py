@@ -383,6 +383,20 @@ def liouvillian_dense(config, tensors) -> np.ndarray:
     return mat
 
 
+def act_block_products(f, x: np.ndarray) -> np.ndarray:
+    """The matrix-free action of ``redfield._act`` as 12 separate real N x N
+    products, one per term of the block actions in the ``redfield`` module
+    docstring, summed in their order, on the stacked real coordinates
+    M = Re X + Im X of both blocks: the action as ``_act`` once made it."""
+    n = f.d.shape[0]
+    (w_in, w_out), (v_out, v_in), d, k = f.loss, f.gain, f.d, f.coherent.imag
+    m0 = x[: n * n].reshape(n, n)
+    m1 = x[n * n :].reshape(n, n)
+    y0 = k * m0.T - 0.5 * (w_in.T @ m0 + m0 @ w_in) + 0.5 * (v_out @ m1 @ d + d.T @ m1 @ v_out.T)
+    y1 = k * m1.T - 0.5 * (w_out.T @ m1 + m1 @ w_out) + 0.5 * (v_in @ m0 @ d.T + d @ m0 @ v_in.T)
+    return np.concatenate([y0.reshape(-1), y1.reshape(-1)])
+
+
 def population_dominance(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, 2|L_ii| - sum_k |L_ik|) over the 2N population rows of the whole matrix."""
     t_block = np.eye(n).reshape(-1)

@@ -144,6 +144,15 @@ def test_a_probe_evaluation_matches_the_lu_row_without_the_dense_solve(layer_cal
     _assert_row_matches_the_lu_row(probe, evaluate_point(config, solve=redfield.steady_state))
 
 
+@pytest.mark.parametrize("mu_tilde", ADAPTIVE_EQ_MU)
+def test_default_solve_reads_torotropy_exactly_zero_at_the_adaptive_benchmark_points(mu_tilde):
+    # the seed-1 adaptive-eq eta_converter cells, omega T_Q / |I_R|, read 0.0 or nan only
+    # while T_Q is exactly 0.0 there: a rounding-level T_Q would print a number
+    point = evaluate_point(reference_config(mu_tilde=mu_tilde, delta_mu=0.0, lam=0.7, n_cut=20))
+    assert point.method == "gmres"
+    assert point.torotropy.value == 0.0
+
+
 @pytest.mark.parametrize("lam", [0.35, 0.7, 1.05, 1.4])
 def test_fixed_policy_rows_match_the_lu_rows_on_the_sweep_lam_grid(lam):
     # the benchmark's lam x mu_tilde grid at N = 12, mu_tilde = 0 included, where

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdmr
@@ -391,16 +392,20 @@ class TestTorotropy:
         assert out.count("angle ") == 4
 
     def test_export_reuses_the_measure_profiles(self, ini, tmp_path, monkeypatch):
-        calls = []
-        profile = phasespace.radial_profile
+        # the export samples no Husimi point beyond those of the measure itself
+        points = []
+        husimi = phasespace.husimi
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return profile(*args, **kwargs)
+        def counted(rho, alpha):
+            points.append(np.size(alpha))
+            return husimi(rho, alpha)
 
-        monkeypatch.setattr(phasespace, "radial_profile", counted)
+        monkeypatch.setattr(phasespace, "husimi", counted)
+        assert main(["torotropy", "--config", ini]) == 0
+        measure = sum(points)
+        points.clear()
         assert main(["torotropy", "--config", ini, "--out", str(tmp_path / "profiles.csv")]) == 0
-        assert calls == list(phasespace.default_angles(0.7))
+        assert sum(points) == measure > 0
 
     def test_profile_csv(self, ini, tmp_path, capsys):
         out = tmp_path / "profiles.csv"

@@ -295,6 +295,15 @@ class TestRunPoint:
         result = run_point(config)
         assert result.status == "error:SteadyStateError"
 
+    def test_a_fixed_point_above_the_dense_budget_is_an_error_row_when_gmres_fails(self, monkeypatch):
+        # the LU fallback refuses N = 81 before allocating its 2.7 GB copy
+        def fails(config, tensors):
+            raise redfield.SteadyStateError("GMRES failed")
+
+        monkeypatch.setattr(redfield, "krylov_steady_state", fails)
+        result = run_point(make_config(mu_tilde=0.0, delta_mu=-50.0, lam=0.7, n_cut=81))
+        assert (result.status, result.n_cut) == ("error:SteadyStateError", 81)
+
     def test_a_fixed_point_the_matrix_free_solve_fails_is_reported_by_the_lu(self):
         # near degeneracy GMRES can fail the positivity gate where the LU passes it
         config = make_config(lam=5e-8, mu_tilde=0.0, delta_mu=-50.0, n_cut=20)

@@ -128,11 +128,18 @@ class TestHusimi:
         rng = np.random.default_rng(7)
         alpha = rng.uniform(-4.0, 4.0, shape) + 1j * rng.uniform(-4.0, 4.0, shape)
         alpha = complex(alpha) if shape == () else alpha
-        q = husimi(rho, alpha)
-        assert isinstance(q, float) == (shape == ())
-        c = coherent_overlap(alpha, rho.shape[0])
-        bound = 2 * rho.shape[0] * np.finfo(float).eps * husimi_einsum(np.abs(rho), np.abs(c))
-        assert np.all(np.abs(q - husimi_einsum(rho, c)) <= bound)
+        # the real form, at complex alpha, at real alpha (one real product), and on the
+        # phi = 0 and pi rays from the real anchor -lam <n>, which torotropy samples as real alpha
+        anchor = -1.4 * lab.occupation
+        real = rng.uniform(-4.0, 4.0, shape)
+        ray = anchor + rng.choice([-1.0, 1.0], shape) * rng.uniform(0.0, 6.0, shape)
+        for points in (alpha, real, ray):
+            points = np.asarray(points).item() if shape == () else points
+            q = husimi(rho, points)
+            assert isinstance(q, float) == (shape == ())
+            c = coherent_overlap(points, rho.shape[0])
+            bound = 2 * rho.shape[0] * np.finfo(float).eps * husimi_einsum(np.abs(rho), np.abs(c))
+            assert np.all(np.abs(q - husimi_einsum(rho, c)) <= bound)
 
 
 class TestBarycenter:

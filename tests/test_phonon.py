@@ -73,6 +73,14 @@ class TestCoherentOverlap:
         c = coherent_overlap(1.5 + 0.5j, 60)
         assert np.vdot(c, c).real == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_real_alpha_stays_real_and_matches_the_complex_path(self, shape):
+        alpha = np.random.default_rng(2).uniform(-6.0, 6.0, shape)
+        alpha = float(alpha) if shape == () else alpha
+        real = coherent_overlap(alpha, 40)
+        assert real.dtype == np.float64
+        np.testing.assert_allclose(real, coherent_overlap(np.asarray(alpha, dtype=complex), 40), rtol=0, atol=1e-13)
+
     def test_vectorized_shape_and_values(self):
         grid = np.array([[0.3, 1.0 + 1.0j], [-0.5j, 2.0]])
         block = coherent_overlap(grid, 12)

@@ -149,6 +149,19 @@ def test_both_solves_border_one_row_where_populations_tie(lam, delta_mu, n_cut):
     assert _max_state_diff(state, lu_state) <= PROBE_TOL
 
 
+# the same points: the rho0 row j and the rho1 row N^2 + j(N + 1) tie within BORDER_TIE,
+# and the border rule takes the first, rho0's, whichever of the two rounding orders lower
+@pytest.mark.parametrize(
+    "lam, delta_mu, n_cut, row", [(0.7, -50.0, 30, 558), (1.05, 0.0, 20, 189), (0.05, 0.0, 6, 28)]
+)
+def test_border_tie_takes_the_first_population_row(lam, delta_mu, n_cut, row):
+    config = reference_config(mu_tilde=0.0, delta_mu=delta_mu, lam=lam, n_cut=n_cut)
+    system = _bordered_system(config, build_tensors(config))
+    assert system.row == row
+    j = (row // (n_cut + 1)) % n_cut
+    assert system.pop[system.border + n_cut] == n_cut * n_cut + j * (n_cut + 1)  # the tied rho1 row, after it
+
+
 @pytest.mark.parametrize("mu_tilde", ADAPTIVE_EQ_MU)
 def test_matrix_free_solve_matches_the_lu_solve_at_the_adaptive_benchmark_points(mu_tilde):
     (state, _), (lu_state, _) = _both_solves(reference_config(mu_tilde=mu_tilde, delta_mu=0.0, lam=0.7, n_cut=20))
