@@ -139,7 +139,7 @@ def _cmd_sweep(args) -> int:
     except sweep.JournalError as exc:
         print(f"qdmr: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {outcome.path} ({outcome.n_points} points, {outcome.n_errors} failed)")
+    print(f"wrote {outcome.path} ({outcome.n_points} points, {outcome.n_errors} failed, {outcome.n_capped} at the cutoff cap)")
     return 3 if outcome.n_errors else 0
 
 

@@ -159,15 +159,14 @@ def run_point(
     With ``n_cut_policy='adaptive'`` the truncation is raised from 20 in
     steps of 10 until the top-decile Fock population falls below 1e-6
     and the torotropy (when requested) moves by less than 1% between
-    consecutive sizes, capping at 80.  Each rung is decided on the default
-    solve of ``evaluate_point``, the one a fixed cutoff reports.  Where that
-    stops the climb on a matrix-free state, the rung is solved again by the
-    LU, and the rule is checked on that state: on a rung it accepts (the
-    climb goes on if the check fails) and at the cap (status ``n_cut_cap``
-    unless the rule holds).  A rung that fell back to the LU is not solved
-    twice.  The LU confirms because ``eta_converter`` at equilibrium reads
-    0.0 or nan from the last bits of a rounding-level ``I_R``, and the
-    benchmark reference holds the LU's bits there.
+    consecutive sizes, capping at 80.  Each rung is decided once, on the
+    default solve of ``evaluate_point``, the one a fixed cutoff reports.
+    The accepted rung is reported by the LU, which solves it again unless it
+    fell back to the LU already; a point that reaches the cap unsettled
+    reports its default-solve state, with status ``n_cut_cap``.  The
+    accepted rung keeps the LU because ``eta_converter`` at equilibrium
+    reads 0.0 or nan from the last bits of a rounding-level ``I_R``, and
+    the benchmark reference holds the LU's bits there.
     """
     n = config.system.n_cut  # the cutoff being solved, for an error row
     try:
@@ -178,10 +177,8 @@ def run_point(
         while True:
             cfg = replace(config, system=replace(config.system, n_cut=n))
             result = evaluate_point(cfg, outputs)
-            if result.method != "lu" and (_settled(result, below) or n >= ADAPTIVE_CAP):
-                result = evaluate_point(cfg, outputs, solve=redfield.steady_state)
             if _settled(result, below):
-                return result
+                return result if result.method == "lu" else evaluate_point(cfg, outputs, solve=redfield.steady_state)
             if n >= ADAPTIVE_CAP:
                 return replace(result, status="n_cut_cap")
             below = result
@@ -298,6 +295,7 @@ class SweepOutcome:
     path: Path
     n_points: int
     n_errors: int
+    n_capped: int  # rows with status n_cut_cap: the adaptive ladder reached ADAPTIVE_CAP unsettled
 
 
 def run_sweep(
@@ -356,5 +354,6 @@ def run_sweep(
     write_csv(out_path, _metadata_lines(config, spec), columns, ([row.get(c) for c in columns] for row in rows))
     if not lost:
         journal_path.unlink(missing_ok=True)
-    n_errors = sum(str(row.get("status", "")).startswith("error") for row in rows)
-    return SweepOutcome(path=out_path, n_points=len(rows), n_errors=n_errors)
+    statuses = [str(row.get("status", "")) for row in rows]
+    n_errors = sum(status.startswith("error") for status in statuses)
+    return SweepOutcome(path=out_path, n_points=len(rows), n_errors=n_errors, n_capped=statuses.count("n_cut_cap"))

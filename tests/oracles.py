@@ -4,7 +4,8 @@ Everything here is written from the defining formulas with plain loops,
 quadrature, or matrix exponentials, deliberately avoiding the package's
 own factored algebra and vectorized code paths.  Slow and small-N only.
 The one exception, ``adaptive_ladder_lu``, is a former policy of the
-package: its adaptive cutoff ladder solved by the dense LU on every rung.
+package: its adaptive cutoff ladder solved by the dense LU on every rung,
+still the reference for where the ladder stops and for an accepted row.
 """
 
 from __future__ import annotations
@@ -444,8 +445,11 @@ def steady_state_bordered_lu(
 def adaptive_ladder_lu(config, outputs):
     """``sweep.run_point(config, outputs, n_cut_policy="adaptive")`` as it was
     when every rung ran ``evaluate_point`` with the LU and the stop rule read
-    its state; at lam = 0 the closed-form point of the default solve.  The
-    ADAPTIVE_* constants are read from ``qdmr.sweep`` at call time, so a
+    its state; at lam = 0 the closed-form point of the default solve.  It is
+    still the reference for where the ladder stops (the cutoff and the
+    status) and for the row of a rung it accepts, which the ladder reports
+    from the LU; a capped row now comes from the default solve at the cap.
+    The ADAPTIVE_* constants are read from ``qdmr.sweep`` at call time, so a
     test can shorten the ladder."""
     n = config.system.n_cut
     try:

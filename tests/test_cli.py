@@ -150,6 +150,19 @@ class TestSweep:
         data = [l for l in lines if l and not l.startswith("#")]
         assert len(data) == 5  # header + 4 rows
 
+    def test_summary_counts_the_points_at_the_cutoff_cap(self, ini, tmp_path, capsys):
+        # the self-oscillation point (delta_mu = -50) ends its ladder unsettled at
+        # the cap, which is a row, not a failure; delta_mu = 60 settles
+        overrides = ["system.mu_tilde=0.0", "sweep.axis1=delta_mu, -50.0, 60.0, 2",
+                     "sweep.n_cut_policy=adaptive", "sweep.outputs=transport"]
+        out = tmp_path / "capped.csv"
+        code = main(["sweep", "--config", ini, *(f"--set={o}" for o in overrides), "--out", str(out)])
+        assert code == 0
+        assert f"wrote {out} (2 points, 0 failed, 1 at the cutoff cap)" in capsys.readouterr().out
+        rows = [l.split(",") for l in out.read_text().splitlines() if l and not l.startswith("#")][1:]
+        assert [row[1] for row in rows] == ["n_cut_cap", "ok"]
+        assert rows[0][2] == str(sweep.ADAPTIVE_CAP)
+
     def test_sweep_without_section_exits_one(self, ini, tmp_path, capsys):
         code = main(["sweep", "--config", ini, "--out", str(tmp_path / "x.csv")])
         assert code == 1

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -238,6 +239,14 @@ class TestApplyAxis:
         assert biased.lead_R.chem_potential == 15.0
 
 
+EQ_COLD = dict(mu_tilde=12.342068275197867, delta_mu=0.0, t_left_mk=20.0, t_right_mk=20.0)
+
+
+def _shorten_ladder(monkeypatch):
+    for name, value in (("ADAPTIVE_START", 10), ("ADAPTIVE_STEP", 5), ("ADAPTIVE_CAP", 20)):
+        monkeypatch.setattr(sweep, name, value)
+
+
 class TestRunPoint:
     def test_ok_point_carries_full_row(self):
         config = make_config(mu_tilde=-5.0, delta_mu=60.0, lam=0.7, n_cut=16)
@@ -360,28 +369,89 @@ class TestRunPoint:
         "point",
         [
             dict(mu_tilde=12.342068275197867, delta_mu=0.0),  # equilibrium, at the cap
-            dict(mu_tilde=12.342068275197867, delta_mu=0.0, t_left_mk=20.0, t_right_mk=20.0),  # settles
+            EQ_COLD,  # settles
             dict(mu_tilde=0.0, delta_mu=-50.0),  # self-oscillation
             dict(mu_tilde=0.0, delta_mu=-50.0, lam=1.4),  # 16 torotropy rays
             dict(mu_tilde=0.0, delta_mu=-50.0, lam=0.05),
             dict(mu_tilde=0.0, delta_mu=-50.0, lam=1e-10),  # error row on the first rung
             dict(mu_tilde=0.0, delta_mu=-50.0, lam=1e-6),  # ill-conditioned generator
-            dict(mu_tilde=0.0, delta_mu=-50.0, lam=5e-8),  # the probe fails at N = 15 and 20, the LU does not
+            dict(mu_tilde=0.0, delta_mu=-50.0, lam=5e-8),  # GMRES fails at N = 20, the LU does not
+            dict(mu_tilde=-60.0, delta_mu=-50.0, t_left_mk=20.0, t_right_mk=20.0),  # settles off equilibrium
         ],
-        ids=["eq", "eq-cold", "so", "lam1.4", "lam0.05", "lam1e-10", "lam1e-6", "lam5e-8"],
+        ids=["eq", "eq-cold", "so", "lam1.4", "lam0.05", "lam1e-10", "lam1e-6", "lam5e-8", "off-eq-cold"],
     )
     def test_adaptive_policy_matches_the_lu_ladder(self, monkeypatch, point, outputs):
-        # the ladder decided on the matrix-free solve ends on the rung, with the
-        # status and the row cells, of the ladder that ran the LU on every rung
-        for name, value in (("ADAPTIVE_START", 10), ("ADAPTIVE_STEP", 5), ("ADAPTIVE_CAP", 20)):
-            monkeypatch.setattr(sweep, name, value)
+        # the ladder decided on the default solve ends on the rung, with the status,
+        # of the ladder that ran the LU on every rung; an accepted rung has that
+        # ladder's row cells, a capped one the default solve's at the cap
+        _shorten_ladder(monkeypatch)
         config = make_config(n_cut=6, **point)
         result = run_point(config, outputs, n_cut_policy="adaptive")
         expected = adaptive_ladder_lu(config, outputs)
         assert (result.n_cut, result.status) == (expected.n_cut, expected.status)
+        if expected.status == "n_cut_cap":
+            cap = replace(config, system=replace(config.system, n_cut=sweep.ADAPTIVE_CAP))
+            expected = replace(sweep.evaluate_point(cap, outputs), status="n_cut_cap")
         assert {k: repr(v) for k, v in result.row(outputs).items()} == {
             k: repr(v) for k, v in expected.row(outputs).items()
         }
+
+    @pytest.mark.parametrize(
+        "point, fail_at, status, fell_back, lu",
+        [
+            (dict(mu_tilde=0.0, delta_mu=-50.0), (), "n_cut_cap", [], []),
+            (EQ_COLD, (), "ok", [], [15]),
+            (EQ_COLD, (15,), "ok", [15], [15]),  # GMRES made to fail on the accepted rung
+            (dict(mu_tilde=0.0, delta_mu=-50.0, lam=5e-8), (), "n_cut_cap", [20], [20]),
+        ],
+        ids=["so", "eq-cold", "eq-cold-fell-back", "lam5e-8"],
+    )
+    def test_the_ladder_runs_the_lu_only_on_its_accepted_rung(self, monkeypatch, point, fail_at, status, fell_back, lu):
+        # and on the rungs where GMRES fails its gates: a rung that fell back is
+        # not solved twice, and a capped rung reports its default solve
+        _shorten_ladder(monkeypatch)
+        lu_rungs, fell_back_rungs = self._trace_solves(monkeypatch, fail_at)
+        result = run_point(make_config(n_cut=6, **point), n_cut_policy="adaptive")
+        assert (result.status, result.method) == (status, "lu" if lu else "gmres")
+        assert (fell_back_rungs, lu_rungs) == (fell_back, lu)
+
+    def test_the_self_oscillation_point_caps_without_a_dense_solve(self, monkeypatch):
+        # the real ladder: the Fock tail is still about 1e-4 at N = 80, where the
+        # LU's dense copy alone would take 2.6 GB
+        lu, _ = self._trace_solves(monkeypatch)
+        tracemalloc.start()
+        try:
+            result = run_point(make_config(mu_tilde=0.0, delta_mu=-50.0), n_cut_policy="adaptive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.status, result.n_cut, result.method, lu) == ("n_cut_cap", 80, "gmres", [])
+        assert result.lab_state.fock_tail > sweep.ADAPTIVE_TAIL_TOL
+        assert peak < 64 * 2**20, peak / 2**20
+
+    @staticmethod
+    def _trace_solves(monkeypatch, fail_at=()):
+        """The cutoffs ``redfield.steady_state`` solves, and those where GMRES raises,
+        as it is made to at the cutoffs ``fail_at``."""
+        lu, fell_back = [], []
+        steady_state, krylov = redfield.steady_state, redfield.krylov_steady_state
+
+        def counted(config, tensors):
+            lu.append(config.system.n_cut)
+            return steady_state(config, tensors)
+
+        def probed(config, tensors):
+            try:
+                if config.system.n_cut in fail_at:
+                    raise redfield.SteadyStateError("made to fail")
+                return krylov(config, tensors)
+            except redfield.SteadyStateError:
+                fell_back.append(config.system.n_cut)
+                raise
+
+        monkeypatch.setattr(redfield, "steady_state", counted)
+        monkeypatch.setattr(redfield, "krylov_steady_state", probed)
+        return lu, fell_back
 
     def test_solver_failure_is_recorded_not_raised(self, monkeypatch):
         def boom(config, outputs):
